@@ -13,10 +13,10 @@ use crate::config::ScheduleConfig;
 use crate::maslov::schedule_maslov_with_dag;
 use crate::metrics::ScheduleResult;
 use crate::scheduler::{
-    run, run_with_dag, ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy,
+    drive, run, Drive, ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy,
 };
 use autobraid_circuit::{Circuit, DependenceDag};
-use autobraid_lattice::Grid;
+use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::{
     anneal_portfolio, initial::partition_placement, linear_placement, CouplingGraph, Placement,
 };
@@ -153,6 +153,8 @@ impl AutoBraid {
     /// engine with the optimizer off (`p = 0`, i.e. autobraid-sp — the
     /// paper sweeps `p` and "chooses the best one among all"), and, for
     /// all-to-all communication patterns, Maslov's swap-network schedule.
+    /// An engine candidate is cut short once it can no longer be the one
+    /// kept, which never changes the pick.
     pub fn schedule_full(&self, circuit: &Circuit) -> ScheduleOutcome {
         let dag = if self.config.commutation_aware {
             DependenceDag::with_commutation(circuit)
@@ -173,62 +175,119 @@ impl AutoBraid {
     ) -> ScheduleOutcome {
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = self.initial_placement(circuit, &grid);
-        let (result, _) = run_with_dag(
-            "autobraid-full",
-            circuit,
-            &grid,
-            placement.clone(),
-            &ParallelStackPolicy::new(self.config.effective_threads()),
-            self.config.layout_threshold > 0.0,
-            &self.config,
-            dag,
-        );
-        let mut outcome = ScheduleOutcome {
+        let policy = ParallelStackPolicy::new(self.config.effective_threads());
+        let base = Occupancy::new(&grid);
+        let engine = |optimizer: bool, budget: Option<u64>| {
+            drive(
+                "autobraid-full",
+                circuit,
+                &grid,
+                placement.clone(),
+                &policy,
+                optimizer,
+                &self.config,
+                &base,
+                dag,
+                budget,
+            )
+            .expect("an empty base occupancy never makes a gate unroutable")
+        };
+        let engine_outcome = |result: ScheduleResult| ScheduleOutcome {
             result,
             grid: grid.clone(),
             initial_placement: placement.clone(),
         };
 
-        if self.config.layout_threshold > 0.0 {
-            // The optimizer-off candidate can only differ when the first
-            // run actually committed a swap layer: with zero committed
-            // layers the optimizer branch fell through on every step, so
-            // the p = 0 run would replay the exact same schedule. Skip it.
-            if outcome.result.swap_layers > 0 {
-                let (sp, _) = run_with_dag(
-                    "autobraid-full",
-                    circuit,
-                    &grid,
-                    placement.clone(),
-                    &ParallelStackPolicy::new(self.config.effective_threads()),
-                    false,
-                    &self.config,
-                    dag,
-                );
-                if sp.total_cycles < outcome.result.total_cycles {
-                    outcome = ScheduleOutcome {
-                        result: sp,
-                        grid: grid.clone(),
-                        initial_placement: placement,
-                    };
-                }
+        // The candidate race. Selection is: take `full` (optimizer at
+        // `p`); replace it by `sp` (optimizer off) iff sp < full; replace
+        // that by Maslov iff maslov < the current pick. A candidate that
+        // cannot be picked need not run to completion. A drive is cut
+        // once its running cycle count plus a lower bound on what the
+        // rest of the DAG still costs passes its budget, so it would
+        // have finished past the budget. The budgets are:
+        //
+        // * `full` is driven with budget `maslov` (all-to-all circuits
+        //   only). Pruned means full > maslov, so either sp < full is
+        //   picked and then loses to Maslov unless sp ≤ maslov, or full
+        //   stays picked and loses to Maslov. Either way full loses.
+        // * `sp` is kept iff sp < full and sp ≤ maslov (it must not lose
+        //   to Maslov's strict `<`), so its budget is min(full − 1,
+        //   maslov); when `full` was pruned, full > maslov and the
+        //   budget is just `maslov`. Pruned means sp ≥ full (full stays,
+        //   exactly as before) or sp > maslov (whatever the pick, Maslov
+        //   beats sp; and if full was picked instead, maslov < sp < full
+        //   makes Maslov beat full too).
+        //
+        // Treating a pruned candidate as +∞ cycles in the unchanged
+        // comparisons therefore picks the same candidate on every input.
+        // With `full` pruned and `sp` pruned or skipped, Maslov is the
+        // pick, and it exists because only its budget can prune `full`.
+        //
+        // With the optimizer off (`p = 0`) only `full` runs, unbudgeted.
+        let optimizer = self.config.layout_threshold > 0.0;
+        let maslov = (optimizer && is_all_to_all(circuit))
+            .then(|| schedule_maslov_with_dag(circuit, &self.config, dag));
+        let maslov_cycles = maslov.as_ref().map(|(m, _)| m.total_cycles);
+        let prune = pruning_enabled();
+        let budget = |cycles: Option<u64>| cycles.filter(|_| prune);
+        let completed = |run: Drive| match run {
+            Drive::Complete(result, _) => Some(result),
+            Drive::Pruned { .. } => {
+                telemetry::counter("scheduler.candidates.pruned", 1);
+                None
             }
-            if is_all_to_all(circuit) {
-                let (maslov, maslov_initial) = schedule_maslov_with_dag(circuit, &self.config, dag);
-                if maslov.total_cycles < outcome.result.total_cycles {
-                    let mut result = maslov;
-                    result.scheduler = "autobraid-full".into();
-                    outcome = ScheduleOutcome {
-                        grid,
-                        result,
-                        initial_placement: maslov_initial,
-                    };
-                }
+        };
+
+        let full_run = engine(optimizer, budget(maslov_cycles));
+        let sp_run = match &full_run {
+            // With zero committed swap layers the optimizer branch fell
+            // through on every step, so the p = 0 run would replay the
+            // same schedule. Pruned, it would replay the same prefix up
+            // to the same state at the cut step, where the bound already
+            // passes its budget (never larger than `full`'s). Skip it,
+            // counting it as cut in the second case only.
+            Drive::Complete(result, _) if result.swap_layers == 0 => None,
+            Drive::Pruned { swap_layers: 0 } => Some(Drive::Pruned { swap_layers: 0 }),
+            Drive::Complete(result, _) => {
+                let below_full = result.total_cycles.saturating_sub(1);
+                let cap = maslov_cycles.map_or(below_full, |m| below_full.min(m));
+                Some(engine(false, budget(Some(cap))))
             }
-        }
+            Drive::Pruned { .. } => Some(engine(false, budget(maslov_cycles))),
+        };
+        let full = completed(full_run);
+        let sp = sp_run.and_then(completed);
+        let engine_pick = match (full, sp) {
+            (Some(full), Some(sp)) if sp.total_cycles < full.total_cycles => Some(sp),
+            (Some(full), _) => Some(full),
+            (None, sp) => sp,
+        };
+
+        let mut outcome = match (engine_pick, maslov) {
+            (Some(pick), Some((maslov, _))) if maslov.total_cycles >= pick.total_cycles => {
+                engine_outcome(pick)
+            }
+            (Some(pick), None) => engine_outcome(pick),
+            (_, Some((result, maslov_initial))) => ScheduleOutcome {
+                grid: grid.clone(),
+                result,
+                initial_placement: maslov_initial,
+            },
+            (None, None) => unreachable!("only the Maslov budget can prune `full`"),
+        };
         outcome.result.scheduler = "autobraid-full".into();
         outcome
     }
+}
+
+/// Whether the candidate race may prune. Off in reference mode, so the
+/// differential suite diffs pruned against unpruned compiles.
+fn pruning_enabled() -> bool {
+    #[cfg(any(test, feature = "reference"))]
+    if telemetry::reference_mode() {
+        return false;
+    }
+    true
 }
 
 /// Heuristic all-to-all detector: the mean coupling degree exceeds 6

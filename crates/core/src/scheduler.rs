@@ -520,13 +520,66 @@ pub fn run_with_base_and_dag(
     scheduler_name: &str,
     circuit: &Circuit,
     grid: &Grid,
-    mut placement: Placement,
+    placement: Placement,
     policy: &dyn RoutePolicy,
     allow_layout_optimizer: bool,
     config: &ScheduleConfig,
     base: &Occupancy,
     dag: &DependenceDag,
 ) -> Result<(ScheduleResult, Placement), ScheduleError> {
+    match drive(
+        scheduler_name,
+        circuit,
+        grid,
+        placement,
+        policy,
+        allow_layout_optimizer,
+        config,
+        base,
+        dag,
+        None,
+    )? {
+        Drive::Complete(result, placement) => Ok((result, placement)),
+        Drive::Pruned { .. } => unreachable!("an unbudgeted drive always completes"),
+    }
+}
+
+/// How a cycle-budgeted engine drive ended. Returned once per drive, so
+/// the size gap between the variants costs nothing worth a box.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Drive {
+    /// The circuit drained: the schedule and the final placement.
+    Complete(ScheduleResult, Placement),
+    /// At the top of a step, `total_cycles` plus the least the rest of
+    /// the DAG can still cost passed the budget, so the finished
+    /// schedule would have passed it too.
+    Pruned {
+        /// Swap layers committed before the prune. Zero means the run
+        /// so far is step for step what the optimizer-off run does.
+        swap_layers: u64,
+    },
+}
+
+/// The one engine loop behind every `run*` entry point. With
+/// `budget = Some(b)` the drive stops at the top of the first step
+/// where the running `total_cycles` plus the remaining critical path
+/// (each gate charged the cheapest step that can complete it) exceeds
+/// `b`, and reports [`Drive::Pruned`]; `None` always drains the
+/// circuit.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    scheduler_name: &str,
+    circuit: &Circuit,
+    grid: &Grid,
+    mut placement: Placement,
+    policy: &dyn RoutePolicy,
+    allow_layout_optimizer: bool,
+    config: &ScheduleConfig,
+    base: &Occupancy,
+    dag: &DependenceDag,
+    budget: Option<u64>,
+) -> Result<Drive, ScheduleError> {
     let started = Instant::now();
     let _span = telemetry::span("engine");
     if telemetry::decisions_enabled() {
@@ -551,23 +604,33 @@ pub fn run_with_base_and_dag(
     // Remaining critical-path weight of each gate (itself included):
     // routing priority, so congestion defers slack-rich gates instead of
     // dependence-critical ones.
-    let remaining_cp: Vec<u64> = {
-        let mut remaining = vec![0u64; circuit.len()];
-        for g in (0..circuit.len()).rev() {
-            let tail = dag
-                .successors(g)
-                .iter()
-                .map(|&s| remaining[s])
-                .max()
-                .unwrap_or(0);
-            remaining[g] =
-                tail + crate::critical_path::gate_cycles(circuit.gate(g), &config.timing);
-        }
-        remaining
-    };
+    let remaining_cp = chain_weights(circuit, dag, |g| {
+        crate::critical_path::gate_cycles(g, &config.timing)
+    });
+    // What the undrained DAG still costs at the least, per gate: a
+    // dependence chain completes at most one gate per step, a step that
+    // completes a CX (SWAPs included) costs a braid step, and any other
+    // step at least a local one. Only budgeted drives consult it.
+    let floor = budget.map(|_| {
+        chain_weights(circuit, dag, |g| {
+            if g.is_two_qubit() {
+                config.timing.braid_step_cycles()
+            } else {
+                config.timing.local_step_cycles()
+            }
+        })
+    });
 
     let mut step_index = 0u64;
     while !frontier.is_drained() {
+        if let (Some(budget), Some(floor)) = (budget, &floor) {
+            let owed = frontier.ready().iter().map(|&g| floor[g]).max();
+            if result.total_cycles + owed.unwrap_or(0) > budget {
+                return Ok(Drive::Pruned {
+                    swap_layers: result.swap_layers,
+                });
+            }
+        }
         let ready: Vec<GateId> = frontier.ready().to_vec();
         let locals: Vec<GateId> = ready
             .iter()
@@ -731,7 +794,27 @@ pub fn run_with_base_and_dag(
         result.mean_utilization = utilization_sum / result.braid_steps as f64;
     }
     result.compile_seconds = started.elapsed().as_secs_f64();
-    Ok((result, placement))
+    Ok(Drive::Complete(result, placement))
+}
+
+/// Per gate, the heaviest dependence chain starting at it (itself
+/// included) with each gate weighted by `weight`.
+fn chain_weights(
+    circuit: &Circuit,
+    dag: &DependenceDag,
+    weight: impl Fn(&autobraid_circuit::Gate) -> u64,
+) -> Vec<u64> {
+    let mut chains = vec![0u64; circuit.len()];
+    for g in (0..circuit.len()).rev() {
+        let tail = dag
+            .successors(g)
+            .iter()
+            .map(|&s| chains[s])
+            .max()
+            .unwrap_or(0);
+        chains[g] = tail + weight(circuit.gate(g));
+    }
+    chains
 }
 
 #[cfg(test)]
@@ -838,6 +921,55 @@ mod tests {
         verify_schedule_with_dag(&c, &dag, &grid, &placement, &relaxed).unwrap();
         let cp = crate::critical_path::critical_path_cycles_relaxed(&c, relaxed.timing());
         assert!(relaxed.total_cycles >= cp);
+    }
+
+    #[test]
+    fn budget_cuts_exactly_the_drives_that_finish_past_it() {
+        // A drive's cut test is sound (it never cuts a drive that would
+        // finish within budget) and its floor is tight on the last step
+        // (a budget one below the final count always cuts).
+        let mut swaps = qft(10).unwrap();
+        for q in 0..9 {
+            swaps.swap(q, 9 - q).h(q);
+        }
+        for circuit in [qft(16).unwrap(), ising(16, 2).unwrap(), swaps] {
+            let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
+            let placement = Placement::row_major(&grid, circuit.num_qubits());
+            let config = ScheduleConfig::default();
+            let dag = DependenceDag::new(&circuit);
+            let base = Occupancy::new(&grid);
+            for optimizer in [false, true] {
+                let drive_with = |budget| {
+                    drive(
+                        "t",
+                        &circuit,
+                        &grid,
+                        placement.clone(),
+                        &StackPolicy,
+                        optimizer,
+                        &config,
+                        &base,
+                        &dag,
+                        budget,
+                    )
+                    .unwrap()
+                };
+                let Drive::Complete(full, _) = drive_with(None) else {
+                    panic!("an unbudgeted drive completes");
+                };
+                let Drive::Complete(at_budget, _) = drive_with(Some(full.total_cycles)) else {
+                    panic!(
+                        "{}: a drive finishing at its budget was cut",
+                        circuit.name()
+                    );
+                };
+                assert_eq!(at_budget.steps, full.steps);
+                assert!(matches!(
+                    drive_with(Some(full.total_cycles - 1)),
+                    Drive::Pruned { .. }
+                ));
+            }
+        }
     }
 
     #[test]

@@ -357,6 +357,66 @@ impl Connectivity {
         };
         labels_of(a).any(|la| labels_of(b).any(|lb| la == lb))
     }
+
+    /// Whether [`find_path`] (without a region limit or expansion cap)
+    /// succeeds between `a` and `b` once `path` is released from the
+    /// occupancy these labels were computed on — **exactly**, not just
+    /// as a necessary condition like [`Connectivity::may_connect`].
+    ///
+    /// Releasing only adds free vertices, so pairs connected before stay
+    /// connected. A [`BraidPath`] is contiguous, so its released
+    /// vertices form one connected set that merges with every free
+    /// component touching it (or any path vertex that was already free);
+    /// all other components are unchanged. The unconfined search
+    /// succeeds iff a free corner of `a` and a free corner of `b` share
+    /// a component afterwards: either they already did, or both lie in
+    /// the merged one.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use autobraid_lattice::{Cell, Grid, Occupancy, Vertex};
+    /// use autobraid_router::astar::Connectivity;
+    /// use autobraid_router::path::BraidPath;
+    ///
+    /// let grid = Grid::new(4)?;
+    /// let mut occ = Occupancy::new(&grid);
+    /// // A routed path down vertex column 2 walls the grid in two.
+    /// let wall: Vec<Vertex> = (0..=4).map(|r| Vertex::new(r, 2)).collect();
+    /// let wall = BraidPath::new(&grid, Cell::new(0, 1), Cell::new(3, 1), wall).unwrap();
+    /// occ.try_reserve(&grid, wall.vertices().iter().copied());
+    /// let conn = Connectivity::compute(&grid, &occ);
+    /// assert!(!conn.may_connect(&grid, Cell::new(1, 0), Cell::new(1, 3)));
+    /// assert!(conn.may_connect_after_release(&grid, Cell::new(1, 0), Cell::new(1, 3), &wall));
+    /// # Ok::<(), autobraid_lattice::LatticeError>(())
+    /// ```
+    pub fn may_connect_after_release(
+        &self,
+        grid: &Grid,
+        a: Cell,
+        b: Cell,
+        path: &BraidPath,
+    ) -> bool {
+        if self.may_connect(grid, a, b) {
+            return true;
+        }
+        let released = path.vertices();
+        let label = |v: Vertex| self.labels[grid.vertex_index(v)];
+        // Components the released path joins: those of its own vertices
+        // (only when already free) and of their neighbours.
+        let mut merged: Vec<u32> = Vec::with_capacity(4 * released.len());
+        for &v in released {
+            merged.push(label(v));
+            merged.extend(grid.neighbors(v).map(label));
+        }
+        merged.retain(|&l| l != Self::BLOCKED);
+        let reaches_merged = |cell: Cell| {
+            cell.corners()
+                .into_iter()
+                .any(|c| released.contains(&c) || merged.contains(&label(c)))
+        };
+        reaches_merged(a) && reaches_merged(b)
+    }
 }
 
 /// Reference shortest path by plain BFS — used to cross-check A*
@@ -567,6 +627,55 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn release_precheck_is_exact() {
+        use autobraid_telemetry::Rng64;
+        let mut rng = Rng64::seed_from_u64(47);
+        let cell = |rng: &mut Rng64, l: u32| Cell::new(rng.gen_range(0..l), rng.gen_range(0..l));
+        let (mut connects, mut blocked, mut opened) = (0, 0, 0);
+        for trial in 0..600 {
+            let l = rng.gen_range(3..7u32);
+            let (g, mut occ) = setup(l);
+            let density = [0.2, 0.35, 0.5][trial % 3];
+            for v in g.vertices() {
+                if rng.gen_bool(density) {
+                    occ.reserve(&g, v);
+                }
+            }
+            // The victim: a path routed on the random occupancy, reserved.
+            let (va, vb) = (cell(&mut rng, l), cell(&mut rng, l));
+            let Some(victim) = find_path(&g, &occ, va, vb, SearchLimits::default()) else {
+                continue;
+            };
+            assert!(occ.try_reserve(&g, victim.vertices().iter().copied()));
+            let conn = Connectivity::compute(&g, &occ);
+            let mut released = occ.clone();
+            released.release_path(&g, victim.vertices().iter().copied());
+            for _ in 0..8 {
+                let (a, b) = (cell(&mut rng, l), cell(&mut rng, l));
+                let predicted = conn.may_connect_after_release(&g, a, b, &victim);
+                let routed = find_path(&g, &released, a, b, SearchLimits::default()).is_some();
+                assert_eq!(
+                    predicted, routed,
+                    "trial {trial}: precheck {predicted} vs search {routed} for {a:?}->{b:?}"
+                );
+                assert_eq!(predicted, conn.may_connect_after_release(&g, b, a, &victim));
+                match (routed, conn.may_connect(&g, a, b)) {
+                    (false, _) => blocked += 1,
+                    (true, true) => connects += 1,
+                    (true, false) => opened += 1,
+                }
+            }
+        }
+        // Every branch of the predicate was exercised: pairs the search
+        // cannot connect, pairs already connected, and pairs only the
+        // released path connects.
+        assert!(
+            blocked > 50 && connects > 50 && opened > 50,
+            "{blocked}/{connects}/{opened}"
+        );
     }
 
     #[test]

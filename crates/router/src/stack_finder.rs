@@ -430,6 +430,12 @@ fn route_stack_order(
 /// successful repair routes a strictly additional gate, so the outcome
 /// only improves. Candidates are limited to paths touching the failed
 /// gate's (expanded) bounding box.
+///
+/// Before releasing a victim, an exact reachability precheck
+/// ([`Connectivity::may_connect_after_release`]) skips exchanges whose
+/// first search would fail: free-space labels are computed once per pass
+/// and recomputed only after a successful exchange (a failed one restores
+/// the occupancy exactly). Skipping changes no outcome, only work done.
 fn repair_failures(
     grid: &Grid,
     occupancy: &mut Occupancy,
@@ -448,6 +454,8 @@ fn repair_failures(
     };
     let mut failed = std::mem::take(&mut outcome.failed);
     failed.sort_by_key(|&id| std::cmp::Reverse(request_by_id(id).priority));
+    let precheck = precheck_enabled();
+    let mut labels: Option<Connectivity> = None;
 
     for id in failed {
         telemetry::fine_counter("router.repair.attempts", 1);
@@ -466,6 +474,14 @@ fn repair_failures(
             .collect();
         let mut fixed = false;
         for j in candidates {
+            if precheck
+                && !labels
+                    .get_or_insert_with(|| Connectivity::compute(grid, occupancy))
+                    .may_connect_after_release(grid, req.a, req.b, &outcome.routed[j].path)
+            {
+                telemetry::fine_counter("router.repair.precheck_skips", 1);
+                continue;
+            }
             let victim = outcome.routed[j].clone();
             occupancy.release_path(grid, victim.path.vertices().iter().copied());
             let Some(new_path) = find_path(grid, occupancy, req.a, req.b, SearchLimits::default())
@@ -491,6 +507,7 @@ fn repair_failures(
                     path: new_path,
                 });
                 telemetry::fine_counter("router.repair.successes", 1);
+                labels = None;
                 fixed = true;
                 break;
             }
@@ -503,6 +520,17 @@ fn repair_failures(
             outcome.failed.push(id);
         }
     }
+}
+
+/// Whether rip-up repair may skip searches its precheck proves futile.
+/// Off in reference mode, so the differential suite diffs prechecked
+/// against unprechecked compiles.
+fn precheck_enabled() -> bool {
+    #[cfg(any(test, feature = "reference"))]
+    if telemetry::reference_mode() {
+        return false;
+    }
+    true
 }
 
 /// The box-confined full-group attempt of [`route_small_llg`]: tries all

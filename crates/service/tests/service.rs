@@ -6,8 +6,11 @@
 use autobraid::pipeline::{Pipeline, Strategy};
 use autobraid_circuit::Circuit;
 use autobraid_conformance::ConformanceCase;
-use autobraid_service::protocol::{CacheStatus, ErrorKind};
+use autobraid_service::protocol::{
+    read_frame, write_frame, CacheStatus, ErrorKind, DEFAULT_MAX_FRAME, PROTOCOL,
+};
 use autobraid_service::{Client, ClientError, CompileRequest, Server, ServiceConfig};
+use autobraid_telemetry::JsonValue;
 use std::time::{Duration, Instant};
 
 fn server(configure: impl FnOnce(&mut ServiceConfig)) -> Server {
@@ -249,6 +252,43 @@ fn parse_errors_are_typed_and_do_not_poison_the_connection() {
             .cache,
         CacheStatus::Miss
     );
+}
+
+#[test]
+fn deeply_nested_frame_is_a_protocol_error_and_the_server_lives() {
+    let server = server(|_| {});
+    // 100 KB of `[`: unbounded recursion would overflow the connection
+    // thread's stack and take the whole daemon down.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut stream, &"[".repeat(100 * 1024)).expect("nested frame");
+    let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+        .expect("readable reply")
+        .expect("error frame");
+    let doc = JsonValue::parse(&reply).expect("valid JSON");
+    let error = doc.get("error").expect("typed error");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some(ErrorKind::Protocol.name())
+    );
+    let detail = error
+        .get("detail")
+        .and_then(JsonValue::as_str)
+        .unwrap_or("");
+    assert!(detail.contains("nesting deeper than"), "{detail}");
+    // The same connection and a fresh one both still answer.
+    let ping = JsonValue::object([
+        ("proto", JsonValue::from(PROTOCOL)),
+        ("kind", JsonValue::from("ping")),
+    ]);
+    write_frame(&mut stream, &ping.render_compact()).expect("ping frame");
+    let pong = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+        .expect("readable pong")
+        .expect("pong frame");
+    assert!(pong.contains("\"pong\""), "{pong}");
+    Client::connect(server.addr())
+        .expect("connect")
+        .ping()
+        .expect("server still answers ping");
 }
 
 #[test]

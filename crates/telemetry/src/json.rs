@@ -77,6 +77,9 @@ impl JsonValue {
         JsonValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
+    /// Deepest array/object nesting [`JsonValue::parse`] accepts.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses a JSON document.
     ///
     /// Accepts exactly one top-level value surrounded by optional
@@ -87,11 +90,14 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error.
+    /// error, or of the first array/object nested deeper than
+    /// [`JsonValue::MAX_DEPTH`] — the parser recurses once per level, so
+    /// the cap keeps hostile input from exhausting the stack.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -231,6 +237,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -272,11 +280,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object_value(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object_value),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper, within the cap.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == JsonValue::MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {} at byte {}",
+                JsonValue::MAX_DEPTH,
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -531,6 +557,17 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "nul", "{\"a\" 1}", "1 2", "{]"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(JsonValue::MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(JsonValue::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the cap — and unterminated — fails fast, not by
+        // overflowing the stack.
+        assert!(JsonValue::parse(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

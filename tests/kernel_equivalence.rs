@@ -18,7 +18,7 @@
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
 use autobraid_circuit::generators::{
-    bv::bv_all_ones, cc::counterfeit_coin, ising::ising, qft::qft,
+    self, bv::bv_all_ones, cc::counterfeit_coin, ising::ising, qft::qft,
 };
 use autobraid_circuit::Circuit;
 use autobraid_conformance::dsl::generate_case;
@@ -102,6 +102,77 @@ fn paper_benchmarks_are_byte_identical_under_full() {
     ] {
         assert_kernels_equivalent(label, &circuit, Strategy::Full);
     }
+}
+
+/// Candidate-race prunes (`scheduler.candidates.pruned`) in one
+/// `Strategy::Full` compile of `circuit`, with reference mode set to
+/// `reference` for its duration.
+fn pruned_candidates(circuit: &Circuit, threads: usize, reference: bool) -> u64 {
+    let pipeline = Pipeline::new().with_options(CompileOptions {
+        strategy: Strategy::Full,
+        optimize: true,
+        verify: true,
+        telemetry: true,
+        trace: false,
+        threads,
+    });
+    let _guard = reference_lock();
+    let was = telemetry::set_reference_mode(reference);
+    let report = pipeline.compile(circuit);
+    telemetry::set_reference_mode(was);
+    report
+        .expect("race circuits compile")
+        .telemetry
+        .expect("telemetry was requested")
+        .counter("scheduler.candidates.pruned")
+}
+
+#[test]
+fn full_race_prunes_the_losing_optimizer_off_run() {
+    // QFT-72: the layout-optimizer run wins (22,770 cycles) and Maslov
+    // loses, so the optimizer-off rerun (24,354 cycles when run out) is
+    // cut once it reaches the winner's count.
+    let circuit = qft(72).unwrap();
+    assert_kernels_equivalent("qft72", &circuit, Strategy::Full);
+    for &threads in &THREAD_SWEEP {
+        assert_eq!(
+            pruned_candidates(&circuit, threads, false),
+            1,
+            "threads={threads}"
+        );
+        assert_eq!(
+            pruned_candidates(&circuit, threads, true),
+            0,
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn full_race_keeps_a_winning_optimizer_off_run() {
+    // QFT-50: the optimizer-off rerun wins (11,352 vs 11,682 cycles), so
+    // it must finish under its budget of the winner's count minus one.
+    let circuit = qft(50).unwrap();
+    assert_kernels_equivalent("qft50", &circuit, Strategy::Full);
+    assert_eq!(pruned_candidates(&circuit, 1, false), 0);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "QFT-200 takes minutes in a debug build")]
+fn full_race_prunes_both_engine_runs_against_maslov() {
+    // QFT-200 (the Table 2 entry): Maslov's swap network (104,676
+    // cycles) beats both engine runs, so both are cut against it.
+    let mut circuit = generators::by_name("qft", 200).unwrap();
+    circuit.set_name("QFT-200");
+    assert_kernels_equivalent("QFT-200", &circuit, Strategy::Full);
+    for &threads in &THREAD_SWEEP {
+        assert_eq!(
+            pruned_candidates(&circuit, threads, false),
+            2,
+            "threads={threads}"
+        );
+    }
+    assert_eq!(pruned_candidates(&circuit, 1, true), 0);
 }
 
 #[test]
