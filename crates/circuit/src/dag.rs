@@ -27,35 +27,34 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DependenceDag {
-    predecessors: Vec<Vec<GateId>>,
+    /// Gate `g`'s predecessors are
+    /// `pred_ids[pred_starts[g]..pred_starts[g + 1]]`: one flat list, so
+    /// a push allocates nothing per gate.
+    pred_starts: Vec<usize>,
+    pred_ids: Vec<GateId>,
     successors: Vec<Vec<GateId>>,
+    /// Per-qubit state the next pushed gate's edges are read from.
+    rule: EdgeRule,
+}
+
+/// How a pushed gate finds its predecessors.
+#[derive(Debug, Clone)]
+enum EdgeRule {
+    /// The last gate on each qubit ([`DependenceDag::new`]).
+    LastWriter(Vec<Option<GateId>>),
+    /// Per qubit, the previous (closed) commuting set and the current
+    /// (open) one ([`DependenceDag::with_commutation`]).
+    Commuting {
+        closed: Vec<Vec<(GateId, Gate)>>,
+        open: Vec<Vec<(GateId, Gate)>>,
+    },
 }
 
 impl DependenceDag {
     /// Builds the DAG in `O(gates × operands)`.
     pub fn new(circuit: &Circuit) -> Self {
-        let n = circuit.len();
-        let mut predecessors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut successors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut last_on_qubit: Vec<Option<GateId>> = vec![None; circuit.num_qubits() as usize];
-
-        for (id, gate) in circuit.iter() {
-            for q in gate.qubits() {
-                if let Some(prev) = last_on_qubit[q as usize] {
-                    // A two-qubit gate may repeat a predecessor if both
-                    // operands last touched the same gate; dedupe.
-                    if !predecessors[id].contains(&prev) {
-                        predecessors[id].push(prev);
-                        successors[prev].push(id);
-                    }
-                }
-                last_on_qubit[q as usize] = Some(id);
-            }
-        }
-        DependenceDag {
-            predecessors,
-            successors,
-        }
+        let qubits = circuit.num_qubits() as usize;
+        Self::grown(circuit, EdgeRule::LastWriter(vec![None; qubits]))
     }
 
     /// Builds the *commutation-relaxed* DAG: gates acting in the same
@@ -76,65 +75,104 @@ impl DependenceDag {
     /// assert_eq!(DependenceDag::with_commutation(&c).depth(), 1);
     /// ```
     pub fn with_commutation(circuit: &Circuit) -> Self {
-        use crate::commutation::commutes;
-        let n = circuit.len();
-        let mut predecessors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut successors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        // Per qubit: the previous (closed) commuting set and the current
-        // (open) one. A new gate joining the current set depends on all of
-        // the previous set; a non-commuting gate closes the current set.
         let qubits = circuit.num_qubits() as usize;
-        let mut prev_set: Vec<Vec<GateId>> = vec![Vec::new(); qubits];
-        let mut cur_set: Vec<Vec<GateId>> = vec![Vec::new(); qubits];
+        Self::grown(
+            circuit,
+            EdgeRule::Commuting {
+                closed: vec![Vec::new(); qubits],
+                open: vec![Vec::new(); qubits],
+            },
+        )
+    }
 
-        let add_edge = |from: GateId,
-                        to: GateId,
-                        predecessors: &mut Vec<Vec<GateId>>,
-                        successors: &mut Vec<Vec<GateId>>| {
-            if !predecessors[to].contains(&from) {
-                predecessors[to].push(from);
-                successors[from].push(to);
-            }
+    fn grown(circuit: &Circuit, rule: EdgeRule) -> Self {
+        let mut dag = DependenceDag {
+            pred_starts: vec![0],
+            pred_ids: Vec::with_capacity(circuit.len()),
+            successors: Vec::with_capacity(circuit.len()),
+            rule,
         };
+        for (_, gate) in circuit.iter() {
+            dag.push(gate);
+        }
+        dag
+    }
 
-        for (id, gate) in circuit.iter() {
-            for q in gate.qubits() {
-                let qi = q as usize;
-                let joins = cur_set[qi].iter().all(|&g| commutes(circuit.gate(g), gate));
-                if !joins {
-                    prev_set[qi] = std::mem::take(&mut cur_set[qi]);
+    /// Appends `gate` as node `len()` with the edges this DAG's build
+    /// mode gives it, so a DAG grown gate by gate equals one built from
+    /// the whole circuit. Successor lists stay sorted because ids only
+    /// increase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` addresses a qubit outside the circuit the DAG
+    /// was built for.
+    ///
+    /// ```
+    /// use autobraid_circuit::circuit::Circuit;
+    /// use autobraid_circuit::dag::DependenceDag;
+    /// use autobraid_circuit::gate::{Gate, TwoKind};
+    ///
+    /// let mut dag = DependenceDag::new(&Circuit::new(2));
+    /// dag.push(&Gate::two(TwoKind::Cx, 0, 1));
+    /// assert_eq!(dag.push(&Gate::two(TwoKind::Cx, 1, 0)), 1);
+    /// assert_eq!(dag.predecessors(1), &[0]);
+    /// ```
+    pub fn push(&mut self, gate: &Gate) -> GateId {
+        let id = self.len();
+        let start = self.pred_ids.len();
+        match &mut self.rule {
+            EdgeRule::LastWriter(last_on_qubit) => {
+                for q in gate.qubits() {
+                    // A two-qubit gate may repeat a predecessor if both
+                    // operands last touched the same gate; dedupe.
+                    if let Some(prev) = last_on_qubit[q as usize].replace(id) {
+                        if !self.pred_ids[start..].contains(&prev) {
+                            self.pred_ids.push(prev);
+                        }
+                    }
                 }
-                for &p in &prev_set[qi] {
-                    add_edge(p, id, &mut predecessors, &mut successors);
+            }
+            EdgeRule::Commuting { closed, open } => {
+                use crate::commutation::commutes;
+                // A gate joining the open set depends on all of the
+                // closed one; a non-commuting gate closes the open set.
+                for q in gate.qubits() {
+                    let q = q as usize;
+                    if !open[q].iter().all(|(_, g)| commutes(g, gate)) {
+                        closed[q] = std::mem::take(&mut open[q]);
+                    }
+                    for &(p, _) in &closed[q] {
+                        if !self.pred_ids[start..].contains(&p) {
+                            self.pred_ids.push(p);
+                        }
+                    }
+                    open[q].push((id, *gate));
                 }
-                cur_set[qi].push(id);
+                self.pred_ids[start..].sort_unstable();
             }
         }
-        for preds in &mut predecessors {
-            preds.sort_unstable();
+        for &p in &self.pred_ids[start..] {
+            self.successors[p].push(id);
         }
-        for succs in &mut successors {
-            succs.sort_unstable();
-        }
-        DependenceDag {
-            predecessors,
-            successors,
-        }
+        self.pred_starts.push(self.pred_ids.len());
+        self.successors.push(Vec::new());
+        id
     }
 
     /// Number of gates (nodes).
     pub fn len(&self) -> usize {
-        self.predecessors.len()
+        self.successors.len()
     }
 
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
-        self.predecessors.is_empty()
+        self.successors.is_empty()
     }
 
     /// Immediate predecessors of `gate`.
     pub fn predecessors(&self, gate: GateId) -> &[GateId] {
-        &self.predecessors[gate]
+        &self.pred_ids[self.pred_starts[gate]..self.pred_starts[gate + 1]]
     }
 
     /// Immediate successors of `gate`.
@@ -145,7 +183,7 @@ impl DependenceDag {
     /// Gates with no predecessors.
     pub fn roots(&self) -> Vec<GateId> {
         (0..self.len())
-            .filter(|&g| self.predecessors[g].is_empty())
+            .filter(|&g| self.predecessors(g).is_empty())
             .collect()
     }
 
@@ -160,7 +198,7 @@ impl DependenceDag {
         let mut level = vec![0usize; self.len()];
         // Program order is a topological order by construction.
         for g in 0..self.len() {
-            for &p in &self.predecessors[g] {
+            for &p in self.predecessors(g) {
                 level[g] = level[g].max(level[p] + 1);
             }
         }
@@ -184,7 +222,8 @@ impl DependenceDag {
         let mut finish = vec![0u64; self.len()];
         let mut best = 0;
         for g in 0..self.len() {
-            let start = self.predecessors[g]
+            let start = self
+                .predecessors(g)
                 .iter()
                 .map(|&p| finish[p])
                 .max()
@@ -198,7 +237,9 @@ impl DependenceDag {
 
 /// Incremental frontier over a [`DependenceDag`]: tracks which gates are
 /// ready (all predecessors completed), lets a scheduler complete them in
-/// any order, and surfaces newly released gates.
+/// any order, and surfaces newly released gates. The frontier does not
+/// hold the DAG, so the DAG may keep growing: [`Frontier::admit`] takes
+/// in the gates pushed since the last call.
 ///
 /// # Examples
 ///
@@ -213,33 +254,59 @@ impl DependenceDag {
 /// let mut ready = frontier.ready().to_vec();
 /// ready.sort();
 /// assert_eq!(ready, vec![0, 1]);
-/// frontier.complete(0);
-/// frontier.complete(1);
+/// frontier.complete(&dag, 0);
+/// frontier.complete(&dag, 1);
 /// assert_eq!(frontier.ready(), &[2]);
-/// frontier.complete(2);
+/// frontier.complete(&dag, 2);
 /// assert!(frontier.is_drained());
 /// ```
-#[derive(Debug, Clone)]
-pub struct Frontier<'a> {
-    dag: &'a DependenceDag,
+#[derive(Debug, Clone, Default)]
+pub struct Frontier {
     remaining_preds: Vec<usize>,
     ready: Vec<GateId>,
     completed: Vec<bool>,
     outstanding: usize,
 }
 
-impl<'a> Frontier<'a> {
+impl Frontier {
     /// Starts a frontier with every root gate ready.
-    pub fn new(dag: &'a DependenceDag) -> Self {
-        let remaining_preds: Vec<usize> =
-            (0..dag.len()).map(|g| dag.predecessors(g).len()).collect();
-        let ready = dag.roots();
-        Frontier {
-            dag,
-            remaining_preds,
-            ready,
-            completed: vec![false; dag.len()],
-            outstanding: dag.len(),
+    pub fn new(dag: &DependenceDag) -> Self {
+        let mut frontier = Frontier::default();
+        frontier.admit(dag);
+        frontier
+    }
+
+    /// Admits, in id order, every gate pushed onto `dag` since the last
+    /// call. Each waits only on its predecessors not yet completed, so a
+    /// gate whose predecessors are all done is ready at once.
+    ///
+    /// ```
+    /// use autobraid_circuit::circuit::Circuit;
+    /// use autobraid_circuit::dag::{DependenceDag, Frontier};
+    /// use autobraid_circuit::gate::{Gate, TwoKind};
+    ///
+    /// let mut dag = DependenceDag::new(&Circuit::new(2));
+    /// let mut frontier = Frontier::new(&dag);
+    /// dag.push(&Gate::two(TwoKind::Cx, 0, 1));
+    /// frontier.admit(&dag);
+    /// frontier.complete(&dag, 0);
+    /// dag.push(&Gate::two(TwoKind::Cx, 1, 0));
+    /// frontier.admit(&dag);
+    /// assert_eq!(frontier.ready(), &[1]);
+    /// ```
+    pub fn admit(&mut self, dag: &DependenceDag) {
+        for gate in self.completed.len()..dag.len() {
+            let waiting = dag
+                .predecessors(gate)
+                .iter()
+                .filter(|&&p| !self.completed[p])
+                .count();
+            self.remaining_preds.push(waiting);
+            self.completed.push(false);
+            self.outstanding += 1;
+            if waiting == 0 {
+                self.ready.push(gate);
+            }
         }
     }
 
@@ -248,24 +315,24 @@ impl<'a> Frontier<'a> {
         &self.ready
     }
 
-    /// Whether every gate has been completed.
+    /// Whether every admitted gate has been completed.
     pub fn is_drained(&self) -> bool {
         self.outstanding == 0
     }
 
-    /// Number of gates not yet completed.
+    /// Number of admitted gates not yet completed.
     pub fn outstanding(&self) -> usize {
         self.outstanding
     }
 
-    /// Marks `gate` complete, releasing any successors whose predecessors
-    /// are all done.
+    /// Marks `gate` complete, releasing any admitted successors in `dag`
+    /// whose predecessors are all done.
     ///
     /// # Panics
     ///
     /// Panics if `gate` is not currently ready (still has unmet
     /// dependencies, or already completed).
-    pub fn complete(&mut self, gate: GateId) {
+    pub fn complete(&mut self, dag: &DependenceDag, gate: GateId) {
         assert!(!self.completed[gate], "gate {gate} completed twice");
         assert_eq!(
             self.remaining_preds[gate], 0,
@@ -277,7 +344,10 @@ impl<'a> Frontier<'a> {
         if let Some(pos) = self.ready.iter().position(|&g| g == gate) {
             self.ready.swap_remove(pos);
         }
-        for &s in self.dag.successors(gate) {
+        // Successor lists are sorted; gates not yet admitted will count
+        // only their predecessors still open when they are.
+        let admitted = self.completed.len();
+        for &s in dag.successors(gate).iter().take_while(|&&s| s < admitted) {
             self.remaining_preds[s] -= 1;
             if self.remaining_preds[s] == 0 {
                 self.ready.push(s);
@@ -285,31 +355,9 @@ impl<'a> Frontier<'a> {
         }
     }
 
-    /// Completes every currently ready gate whose circuit gate satisfies
-    /// `pred`, returning how many were completed. Useful for draining local
-    /// (single-qubit) gates between braiding rounds.
-    pub fn complete_all_where(&mut self, circuit: &Circuit, pred: impl Fn(&Gate) -> bool) -> usize {
-        let mut count = 0;
-        loop {
-            let batch: Vec<GateId> = self
-                .ready
-                .iter()
-                .copied()
-                .filter(|&g| pred(circuit.gate(g)))
-                .collect();
-            if batch.is_empty() {
-                return count;
-            }
-            for g in batch {
-                self.complete(g);
-                count += 1;
-            }
-        }
-    }
-
     /// A breadth-first topological drain used for validation: repeatedly
     /// completes all ready gates, returning the layer structure.
-    pub fn drain_layers(mut self) -> Vec<Vec<GateId>> {
+    pub fn drain_layers(mut self, dag: &DependenceDag) -> Vec<Vec<GateId>> {
         let mut layers = Vec::new();
         while !self.is_drained() {
             let layer: Vec<GateId> = self.ready.to_vec();
@@ -319,7 +367,7 @@ impl<'a> Frontier<'a> {
                 self.outstanding
             );
             for &g in &layer {
-                self.complete(g);
+                self.complete(dag, g);
             }
             layers.push(layer);
         }
@@ -459,14 +507,14 @@ mod tests {
         let dag = DependenceDag::new(&c);
         let mut f = Frontier::new(&dag);
         assert_eq!(f.ready(), &[0]);
-        f.complete(0);
+        f.complete(&dag, 0);
         assert_eq!(f.ready(), &[1]);
-        f.complete(1);
+        f.complete(&dag, 1);
         let mut r = f.ready().to_vec();
         r.sort();
         assert_eq!(r, vec![2, 3]);
-        f.complete(3);
-        f.complete(2);
+        f.complete(&dag, 3);
+        f.complete(&dag, 2);
         assert!(f.is_drained());
     }
 
@@ -476,7 +524,7 @@ mod tests {
         let c = chain();
         let dag = DependenceDag::new(&c);
         let mut f = Frontier::new(&dag);
-        f.complete(2);
+        f.complete(&dag, 2);
     }
 
     #[test]
@@ -485,28 +533,16 @@ mod tests {
         let c = chain();
         let dag = DependenceDag::new(&c);
         let mut f = Frontier::new(&dag);
-        f.complete(0);
+        f.complete(&dag, 0);
         // Re-completing a done gate: remaining_preds is 0 but completed.
-        f.complete(0);
-    }
-
-    #[test]
-    fn frontier_complete_all_where() {
-        let mut c = Circuit::new(2);
-        c.h(0).h(1).cx(0, 1).h(0);
-        let dag = DependenceDag::new(&c);
-        let mut f = Frontier::new(&dag);
-        // Drains h(0), h(1); the trailing h is blocked behind the CX.
-        let done = f.complete_all_where(&c, |g| !g.is_two_qubit());
-        assert_eq!(done, 2);
-        assert_eq!(f.ready(), &[2]);
+        f.complete(&dag, 0);
     }
 
     #[test]
     fn drain_layers_matches_asap() {
         let c = diamond();
         let dag = DependenceDag::new(&c);
-        let layers = Frontier::new(&dag).drain_layers();
+        let layers = Frontier::new(&dag).drain_layers(&dag);
         assert_eq!(layers.len(), dag.depth());
         let asap = dag.asap_levels();
         for (level, layer) in layers.iter().enumerate() {
@@ -575,7 +611,7 @@ mod tests {
     fn commutation_dag_is_executable() {
         let c = crate::generators::qft::qft(10).unwrap();
         let dag = DependenceDag::with_commutation(&c);
-        let layers = Frontier::new(&dag).drain_layers();
+        let layers = Frontier::new(&dag).drain_layers(&dag);
         let total: usize = layers.iter().map(Vec::len).sum();
         assert_eq!(total, c.len(), "frontier drains every gate");
     }

@@ -5,8 +5,11 @@ use autobraid_lattice::TimingModel;
 
 /// Latency in surface-code cycles of one gate under `timing`: local gates
 /// take `d` cycles, braided CX-class gates `2d`, and a SWAP three chained
-/// CX braids (`6d`). This is exactly how the scheduling engine charges
-/// steps, so CP is a true lower bound for every scheduler in this crate.
+/// CX braids (`6d`). The scheduling engine charges local and CX-class
+/// gates the same way, but routes an explicit SWAP gate of the circuit in
+/// one braid step (`2d`), so on circuits with SWAP gates CP can exceed a
+/// real schedule and is not a lower bound. These weights also set the
+/// engine's routing priority and the reported quality ratio, so they stay.
 pub fn gate_cycles(gate: &Gate, timing: &TimingModel) -> u64 {
     match gate {
         Gate::Single { .. } => timing.local_step_cycles(),

@@ -110,10 +110,10 @@ pub fn schedule_maslov_with_dag(
             result.peak_utilization = result.peak_utilization.max(utilization);
             utilization_sum += utilization;
             for routed in &outcome.routed {
-                frontier.complete(routed.request.id);
+                frontier.complete(dag, routed.request.id);
             }
             for &g in &locals {
-                frontier.complete(g);
+                frontier.complete(dag, g);
             }
             result.braid_steps += 1;
             result.total_cycles += config.timing.braid_step_cycles();
@@ -132,7 +132,7 @@ pub fn schedule_maslov_with_dag(
         } else if !any_braid_ready {
             // Only local gates are ready.
             for &g in &locals {
-                frontier.complete(g);
+                frontier.complete(dag, g);
             }
             result.local_steps += 1;
             result.total_cycles += config.timing.local_step_cycles();

@@ -10,16 +10,17 @@ use crate::config::{Recording, ScheduleConfig};
 use crate::metrics::{LayerPolicy, ScheduleResult, Step};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
-use autobraid_circuit::{Circuit, DependenceDag, Frontier, GateId};
-use autobraid_lattice::{Grid, Occupancy};
+use autobraid_circuit::{Circuit, DependenceDag, Frontier, Gate, GateId};
+use autobraid_lattice::{Grid, Occupancy, Vertex};
 use autobraid_placement::Placement;
 use autobraid_router::pathfinder::{route_negotiated_with, PathFinderConfig};
 use autobraid_router::stack_finder::{
     route_concurrent, route_concurrent_seeded, route_concurrent_with, route_greedy, RouteOutcome,
 };
-use autobraid_router::{CxRequest, IncrementalInterference, InterferenceGraph};
+use autobraid_router::{CxRequest, InterferenceGraph};
 use autobraid_telemetry as telemetry;
-use std::time::Instant;
+use std::borrow::Cow;
+use std::time::{Duration, Instant};
 
 /// Errors the scheduling engine can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,9 +62,8 @@ pub struct LayerView<'a> {
     /// Every ready CX of the layer, priorities already assigned.
     pub requests: &'a [CxRequest],
     /// The layer's interference graph over `requests` (every node
-    /// live), equal to `InterferenceGraph::build(requests)`. The engine
-    /// assembles it from incrementally maintained gate-commit deltas;
-    /// policies consume it instead of rebuilding per layer.
+    /// live), `InterferenceGraph::build(requests)`. The engine builds it
+    /// once per layer; policies consume it instead of rebuilding it.
     pub interference: &'a InterferenceGraph,
 }
 
@@ -377,28 +377,6 @@ impl RoutePolicy for PortfolioPolicy {
     }
 }
 
-/// The layer's interference graph, assembled from the engine's
-/// incrementally maintained gate-commit deltas. Debug builds cross-check
-/// it against a from-scratch `InterferenceGraph::build`; reference mode
-/// uses the from-scratch build outright so differential tests can diff
-/// the two end to end.
-fn layer_interference(
-    incremental: &IncrementalInterference,
-    requests: &[CxRequest],
-) -> InterferenceGraph {
-    #[cfg(any(test, feature = "reference"))]
-    if telemetry::reference_mode() {
-        return InterferenceGraph::build(requests);
-    }
-    let graph = incremental.layer_graph(requests);
-    debug_assert_eq!(
-        graph,
-        InterferenceGraph::build(requests),
-        "incremental interference diverged from a from-scratch build"
-    );
-    graph
-}
-
 /// The [`RoutePolicy`] a strategy drives the braiding engine with, or
 /// `None` for strategies that bypass it (the Maslov swap network).
 /// Derived from the strategy itself so sweeps — like the conformance
@@ -459,8 +437,7 @@ pub fn run_with_dag(
     config: &ScheduleConfig,
     dag: &DependenceDag,
 ) -> (ScheduleResult, Placement) {
-    let base = Occupancy::new(grid);
-    run_with_base_and_dag(
+    drive(
         scheduler_name,
         circuit,
         grid,
@@ -468,10 +445,12 @@ pub fn run_with_dag(
         policy,
         allow_layout_optimizer,
         config,
-        &base,
+        &Occupancy::new(grid),
         dag,
+        None,
     )
     .expect("an empty base occupancy never makes a gate unroutable")
+    .completed()
 }
 
 /// [`run`] on a lattice with *defective channels*: every vertex reserved
@@ -500,7 +479,7 @@ pub fn run_with_base_occupancy(
     } else {
         DependenceDag::new(circuit)
     };
-    run_with_base_and_dag(
+    drive(
         scheduler_name,
         circuit,
         grid,
@@ -510,38 +489,9 @@ pub fn run_with_base_occupancy(
         config,
         base,
         &dag,
-    )
-}
-
-/// [`run_with_base_occupancy`] against a caller-supplied dependence DAG
-/// (see [`run_with_dag`] for the sharing contract).
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_base_and_dag(
-    scheduler_name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
-    placement: Placement,
-    policy: &dyn RoutePolicy,
-    allow_layout_optimizer: bool,
-    config: &ScheduleConfig,
-    base: &Occupancy,
-    dag: &DependenceDag,
-) -> Result<(ScheduleResult, Placement), ScheduleError> {
-    match drive(
-        scheduler_name,
-        circuit,
-        grid,
-        placement,
-        policy,
-        allow_layout_optimizer,
-        config,
-        base,
-        dag,
         None,
-    )? {
-        Drive::Complete(result, placement) => Ok((result, placement)),
-        Drive::Pruned { .. } => unreachable!("an unbudgeted drive always completes"),
-    }
+    )
+    .map(Drive::completed)
 }
 
 /// How a cycle-budgeted engine drive ended. Returned once per drive, so
@@ -561,7 +511,19 @@ pub(crate) enum Drive {
     },
 }
 
-/// The one engine loop behind every `run*` entry point. With
+impl Drive {
+    /// The schedule of an unbudgeted drive, which always completes.
+    fn completed(self) -> (ScheduleResult, Placement) {
+        match self {
+            Drive::Complete(result, placement) => (result, placement),
+            Drive::Pruned { .. } => unreachable!("an unbudgeted drive always completes"),
+        }
+    }
+}
+
+/// The batch loop behind every `run*` entry point: runs an [`Engine`]
+/// over the whole circuit and its DAG, borrowed, and steps it until
+/// drained. With
 /// `budget = Some(b)` the drive stops at the top of the first step
 /// where the running `total_cycles` plus the remaining critical path
 /// (each gate charged the cheapest step that can complete it) exceeds
@@ -572,7 +534,7 @@ pub(crate) fn drive(
     scheduler_name: &str,
     circuit: &Circuit,
     grid: &Grid,
-    mut placement: Placement,
+    placement: Placement,
     policy: &dyn RoutePolicy,
     allow_layout_optimizer: bool,
     config: &ScheduleConfig,
@@ -580,7 +542,6 @@ pub(crate) fn drive(
     dag: &DependenceDag,
     budget: Option<u64>,
 ) -> Result<Drive, ScheduleError> {
-    let started = Instant::now();
     let _span = telemetry::span("engine");
     if telemetry::decisions_enabled() {
         telemetry::decision(&telemetry::Decision::EngineBegin {
@@ -589,24 +550,16 @@ pub(crate) fn drive(
             grid_side: grid.cells_per_side(),
         });
     }
-    let mut result = ScheduleResult::new(scheduler_name, circuit.name(), config.timing);
-    let mut frontier = Frontier::new(dag);
-    let mut occupancy = Occupancy::new(grid);
-    // Interference maintained across layers by gate-commit deltas: gates
-    // arrive when they become ready, leave when committed, and refresh
-    // when a swap layer moves an operand (`sync` detects the stale
-    // tiles). Each layer's graph is then assembled in O(V + E).
-    let mut interference = IncrementalInterference::new();
-    let mut utilization_sum = 0.0;
-    let mut consecutive_swap_rounds = 0usize;
-    let record = config.recording == Recording::Full;
-
-    // Remaining critical-path weight of each gate (itself included):
-    // routing priority, so congestion defers slack-rich gates instead of
-    // dependence-critical ones.
-    let remaining_cp = chain_weights(circuit, dag, |g| {
-        crate::critical_path::gate_cycles(g, &config.timing)
-    });
+    let mut engine = Engine::new(
+        scheduler_name,
+        Cow::Borrowed(circuit),
+        Cow::Borrowed(dag),
+        grid.clone(),
+        base.clone(),
+        placement,
+        config.clone(),
+        allow_layout_optimizer,
+    );
     // What the undrained DAG still costs at the least, per gate: a
     // dependence chain completes at most one gate per step, a step that
     // completes a CX (SWAPs included) costs a braid step, and any other
@@ -621,82 +574,250 @@ pub(crate) fn drive(
         })
     });
 
-    let mut step_index = 0u64;
-    while !frontier.is_drained() {
+    while !engine.frontier.is_drained() {
         if let (Some(budget), Some(floor)) = (budget, &floor) {
-            let owed = frontier.ready().iter().map(|&g| floor[g]).max();
-            if result.total_cycles + owed.unwrap_or(0) > budget {
+            let owed = engine.frontier.ready().iter().map(|&g| floor[g]).max();
+            if engine.result.total_cycles + owed.unwrap_or(0) > budget {
                 return Ok(Drive::Pruned {
-                    swap_layers: result.swap_layers,
+                    swap_layers: engine.result.swap_layers,
                 });
             }
         }
-        let ready: Vec<GateId> = frontier.ready().to_vec();
-        let locals: Vec<GateId> = ready
+        engine.step(policy, &mut Batch)?;
+    }
+    let (result, placement, ..) = engine.finish();
+    Ok(Drive::Complete(result, placement))
+}
+
+/// What one [`Engine::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stepped {
+    /// Only single-qubit gates were ready; this many executed.
+    Local { gates: usize },
+    /// The layout optimizer spent the step on a swap layer.
+    Swap,
+    /// A braiding layer committed: `routed` gates routed, `deferred`
+    /// offered gates failed and stay ready.
+    Braid { routed: usize, deferred: usize },
+}
+
+/// A routed layer about to commit, as [`StepHooks::check`] sees it.
+pub(crate) struct RoutedLayer<'l> {
+    pub(crate) step: u64,
+    pub(crate) grid: &'l Grid,
+    pub(crate) base: &'l Occupancy,
+    pub(crate) placement: &'l Placement,
+    pub(crate) requests: &'l [CxRequest],
+    pub(crate) outcome: &'l RouteOutcome,
+    /// Wall-clock time the policy spent routing the layer.
+    pub(crate) route_time: Duration,
+}
+
+/// What a caller wraps around the shared [`Engine::step`]. The batch
+/// drive keeps the defaults; a stream trims layers after a budget
+/// overrun, probes each layer before it commits and counts reroutes.
+pub(crate) trait StepHooks {
+    /// The caller's error type.
+    type Error;
+
+    /// The error for a ready gate that can never route.
+    fn unroutable(&self, gate: GateId) -> Self::Error;
+
+    /// Narrows, in place, the ready braids offered to the router;
+    /// `priority` is each gate's remaining critical-path weight.
+    fn offer(&mut self, _braids: &mut Vec<GateId>, _priority: &[u64]) {}
+
+    /// Inspects a routed layer before it commits; an error aborts the
+    /// step with nothing committed.
+    fn check(&mut self, _layer: &RoutedLayer<'_>) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// The batch drive's hooks: nothing beyond the typed error, because the
+/// whole schedule is verified once it is done.
+struct Batch;
+
+impl StepHooks for Batch {
+    type Error = ScheduleError;
+
+    fn unroutable(&self, gate: GateId) -> ScheduleError {
+        ScheduleError::UnroutableGate { gate }
+    }
+}
+
+/// The scheduling engine (paper §3, Fig. 13). Each [`Engine::step`]
+/// takes the ready layer, routes its two-qubit gates with the policy,
+/// spends a swap layer instead when too few route and the layout
+/// optimizer is on, and commits. The batch [`drive`] borrows a whole
+/// circuit and its DAG; a [`crate::streaming::StreamingPipeline`] owns
+/// them and [`Engine::push`]es gates as they arrive.
+pub(crate) struct Engine<'a> {
+    pub(crate) circuit: Cow<'a, Circuit>,
+    dag: Cow<'a, DependenceDag>,
+    pub(crate) frontier: Frontier,
+    pub(crate) grid: Grid,
+    /// Defective channel vertices: every step routes on a copy.
+    base: Occupancy,
+    /// Per-step scratch occupancy.
+    occupancy: Occupancy,
+    pub(crate) placement: Placement,
+    config: ScheduleConfig,
+    allow_layout_optimizer: bool,
+    /// Remaining critical-path weight of each gate (itself included):
+    /// routing priority, so congestion defers slack-rich gates instead
+    /// of dependence-critical ones.
+    priority: Vec<u64>,
+    /// Whether gates were pushed since `priority` was computed. Weights
+    /// change only on a push, so a push-then-drain stream recomputes
+    /// them once per push batch, not once per step.
+    priority_stale: bool,
+    pub(crate) result: ScheduleResult,
+    utilization_sum: f64,
+    consecutive_swap_rounds: usize,
+    /// Steps taken so far (local, swap and braid).
+    pub(crate) step_index: u64,
+    started: Instant,
+}
+
+impl<'a> Engine<'a> {
+    /// An engine over `circuit` (every gate already in `dag`), starting
+    /// from `placement` on `grid` with `base` as the defect map.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        scheduler_name: &str,
+        circuit: Cow<'a, Circuit>,
+        dag: Cow<'a, DependenceDag>,
+        grid: Grid,
+        base: Occupancy,
+        placement: Placement,
+        config: ScheduleConfig,
+        allow_layout_optimizer: bool,
+    ) -> Self {
+        Engine {
+            result: ScheduleResult::new(scheduler_name, circuit.name(), config.timing),
+            frontier: Frontier::new(&dag),
+            occupancy: Occupancy::new(&grid),
+            circuit,
+            dag,
+            grid,
+            base,
+            placement,
+            config,
+            allow_layout_optimizer,
+            priority: Vec::new(),
+            priority_stale: true,
+            utilization_sum: 0.0,
+            consecutive_swap_rounds: 0,
+            step_index: 0,
+            started: Instant::now(),
+        }
+    }
+
+    /// Appends `gate` to the circuit and admits it to the frontier.
+    pub(crate) fn push(&mut self, gate: Gate) -> GateId {
+        self.circuit.to_mut().push(gate);
+        let id = self.dag.to_mut().push(&gate);
+        self.frontier.admit(&self.dag);
+        self.priority_stale = true;
+        id
+    }
+
+    /// Marks channel vertex `v` defective for every later step.
+    pub(crate) fn fail_vertex(&mut self, v: Vertex) {
+        self.base.reserve(&self.grid, v);
+    }
+
+    /// Charges one braiding-step slot in which nothing executes.
+    pub(crate) fn idle(&mut self) {
+        self.result.total_cycles += self.config.timing.braid_step_cycles();
+    }
+
+    /// Runs one step: executes the ready single-qubit gates alone if no
+    /// two-qubit gate is ready, and otherwise routes the ready two-qubit
+    /// gates as one layer, then commits it (with the ready single-qubit
+    /// gates) or spends a swap layer instead.
+    ///
+    /// # Errors
+    ///
+    /// `hooks.unroutable` when no offered gate routes even though the
+    /// layer was not traded for a swap layer, and whatever
+    /// `hooks.check` rejects.
+    pub(crate) fn step<H: StepHooks>(
+        &mut self,
+        policy: &dyn RoutePolicy,
+        hooks: &mut H,
+    ) -> Result<Stepped, H::Error> {
+        let (locals, mut braids): (Vec<GateId>, Vec<GateId>) = self
+            .frontier
+            .ready()
             .iter()
-            .copied()
-            .filter(|&g| !circuit.gate(g).is_two_qubit())
-            .collect();
-        let braids: Vec<GateId> = ready
-            .iter()
-            .copied()
-            .filter(|&g| circuit.gate(g).is_two_qubit())
-            .collect();
+            .partition(|&&g| !self.circuit.gate(g).is_two_qubit());
+        let step = self.step_index;
         if telemetry::fine_decisions_enabled() {
             telemetry::decision(&telemetry::Decision::StepBegin {
-                step: step_index,
+                step,
                 braids: braids.len(),
                 locals: locals.len(),
             });
         }
-        step_index += 1;
+        self.step_index += 1;
+        let timing = self.config.timing;
 
         if braids.is_empty() {
             debug_assert!(!locals.is_empty(), "frontier non-empty but nothing ready");
             for &g in &locals {
-                frontier.complete(g);
+                self.frontier.complete(&self.dag, g);
             }
-            result.local_steps += 1;
+            self.result.local_steps += 1;
             telemetry::fine_counter("scheduler.steps.local", 1);
-            result.total_cycles += config.timing.local_step_cycles();
-            if record {
-                result.steps.push(Step::Local { gates: locals });
+            self.result.total_cycles += timing.local_step_cycles();
+            let gates = locals.len();
+            if self.config.recording == Recording::Full {
+                self.result.steps.push(Step::Local { gates: locals });
             }
-            continue;
+            return Ok(Stepped::Local { gates });
         }
 
+        if self.priority_stale {
+            self.priority = chain_weights(&self.circuit, &self.dag, |g| {
+                crate::critical_path::gate_cycles(g, &timing)
+            });
+            self.priority_stale = false;
+        }
+        hooks.offer(&mut braids, &self.priority);
         let requests: Vec<CxRequest> = braids
             .iter()
             .map(|&g| {
-                let (a, b) = circuit.gate(g).pair().expect("braid gates are two-qubit");
-                CxRequest::new(g, placement.cell_of(a), placement.cell_of(b))
-                    .with_priority(remaining_cp[g] as i64)
+                let (a, b) = self
+                    .circuit
+                    .gate(g)
+                    .pair()
+                    .expect("braid gates are two-qubit");
+                CxRequest::new(g, self.placement.cell_of(a), self.placement.cell_of(b))
+                    .with_priority(self.priority[g] as i64)
             })
             .collect();
 
-        // Refresh the incremental interference state: newly ready gates
-        // arrive, and gates whose operands a swap layer moved get their
-        // tiles (and edges) recomputed.
-        for r in &requests {
-            interference.sync(r);
-        }
-        let graph = layer_interference(&interference, &requests);
+        let graph = InterferenceGraph::build(&requests);
 
-        occupancy.clone_from(base);
+        self.occupancy.clone_from(&self.base);
+        let routing = Instant::now();
         let LayerRoute {
             outcome,
             chosen,
             reason,
         } = policy.route_layer(
-            grid,
-            &mut occupancy,
+            &self.grid,
+            &mut self.occupancy,
             LayerView {
-                step: step_index - 1,
-                base,
+                step,
+                base: &self.base,
                 requests: &requests,
                 interference: &graph,
             },
         );
+        let route_time = routing.elapsed();
         if telemetry::fine_metrics_enabled() {
             telemetry::counter("scheduler.gates.routed", outcome.routed.len() as u64);
             telemetry::counter("scheduler.gates.deferred", outcome.failed.len() as u64);
@@ -706,20 +827,20 @@ pub(crate) fn drive(
 
         // Dynamic layout optimization (AutoBraid-full): if too few gates
         // scheduled, spend a swap layer instead of committing this step.
-        if allow_layout_optimizer
-            && outcome.ratio() < config.layout_threshold
-            && consecutive_swap_rounds < config.max_consecutive_swap_rounds
+        if self.allow_layout_optimizer
+            && outcome.ratio() < self.config.layout_threshold
+            && self.consecutive_swap_rounds < self.config.max_consecutive_swap_rounds
         {
             let swaps = plan_swap_layer(
-                grid,
-                &placement,
+                &self.grid,
+                &self.placement,
                 &requests,
-                config.max_swaps_per_round,
-                base,
+                self.config.max_swaps_per_round,
+                &self.base,
             );
             if !swaps.is_empty() {
                 for swap in &swaps {
-                    placement.swap_qubits(swap.a, swap.b);
+                    self.placement.swap_qubits(swap.a, swap.b);
                     if telemetry::fine_decisions_enabled() {
                         telemetry::decision(&telemetry::Decision::SwapInserted {
                             a: swap.a,
@@ -727,59 +848,69 @@ pub(crate) fn drive(
                         });
                     }
                 }
-                result.swap_layers += 1;
-                result.swap_count += swaps.len() as u64;
+                self.result.swap_layers += 1;
+                self.result.swap_count += swaps.len() as u64;
                 telemetry::fine_counter("scheduler.steps.swap", 1);
                 telemetry::fine_counter("scheduler.swaps.inserted", swaps.len() as u64);
-                result.total_cycles += 3 * config.timing.braid_step_cycles();
-                consecutive_swap_rounds += 1;
-                if record {
-                    result.steps.push(Step::SwapLayer { swaps });
+                self.result.total_cycles += 3 * timing.braid_step_cycles();
+                self.consecutive_swap_rounds += 1;
+                if self.config.recording == Recording::Full {
+                    self.result.steps.push(Step::SwapLayer { swaps });
                 }
-                continue;
+                return Ok(Stepped::Swap);
             }
         }
-        consecutive_swap_rounds = 0;
+        self.consecutive_swap_rounds = 0;
 
         if outcome.routed.is_empty() {
             // On a defect-free lattice at least one gate always routes; a
             // defective channel map can disconnect operand tiles for good.
-            return Err(ScheduleError::UnroutableGate {
-                gate: requests.first().map(|r| r.id).unwrap_or_default(),
-            });
+            return Err(hooks.unroutable(requests.first().map(|r| r.id).unwrap_or_default()));
         }
+        hooks.check(&RoutedLayer {
+            step,
+            grid: &self.grid,
+            base: &self.base,
+            placement: &self.placement,
+            requests: &requests,
+            outcome: &outcome,
+            route_time,
+        })?;
 
-        let utilization = occupancy.utilization();
-        result.peak_utilization = result.peak_utilization.max(utilization);
-        utilization_sum += utilization;
+        let utilization = self.occupancy.utilization();
+        self.result.peak_utilization = self.result.peak_utilization.max(utilization);
+        self.utilization_sum += utilization;
 
         for routed in &outcome.routed {
-            frontier.complete(routed.request.id);
-            interference.remove(routed.request.id);
+            self.frontier.complete(&self.dag, routed.request.id);
         }
         for &g in &locals {
-            frontier.complete(g);
+            self.frontier.complete(&self.dag, g);
         }
-        result.braid_steps += 1;
+        self.result.braid_steps += 1;
         telemetry::fine_counter("scheduler.steps.braid", 1);
-        result.total_cycles += config.timing.braid_step_cycles();
+        self.result.total_cycles += timing.braid_step_cycles();
         // Strategy attribution describes *committed* layers only — a
         // routing pass discarded in favour of a swap layer never shows
         // up here or in the trace.
         if telemetry::fine_decisions_enabled() {
             telemetry::decision(&telemetry::Decision::StrategyChosen {
-                step: step_index - 1,
+                step,
                 policy: chosen.to_string(),
                 reason: reason.to_string(),
             });
         }
-        if record {
-            result.layer_policies.push(LayerPolicy {
-                step: step_index - 1,
+        let stepped = Stepped::Braid {
+            routed: outcome.routed.len(),
+            deferred: outcome.failed.len(),
+        };
+        if self.config.recording == Recording::Full {
+            self.result.layer_policies.push(LayerPolicy {
+                step,
                 policy: chosen.to_string(),
                 reason: reason.to_string(),
             });
-            result.steps.push(Step::Braid {
+            self.result.steps.push(Step::Braid {
                 braids: outcome
                     .routed
                     .into_iter()
@@ -788,13 +919,18 @@ pub(crate) fn drive(
                 locals,
             });
         }
+        Ok(stepped)
     }
 
-    if result.braid_steps > 0 {
-        result.mean_utilization = utilization_sum / result.braid_steps as f64;
+    /// Closes the run: the result (mean utilization and compile time
+    /// filled in), the final placement, the grid and the circuit.
+    pub(crate) fn finish(mut self) -> (ScheduleResult, Placement, Grid, Cow<'a, Circuit>) {
+        if self.result.braid_steps > 0 {
+            self.result.mean_utilization = self.utilization_sum / self.result.braid_steps as f64;
+        }
+        self.result.compile_seconds = self.started.elapsed().as_secs_f64();
+        (self.result, self.placement, self.grid, self.circuit)
     }
-    result.compile_seconds = started.elapsed().as_secs_f64();
-    Ok(Drive::Complete(result, placement))
 }
 
 /// Per gate, the heaviest dependence chain starting at it (itself
@@ -802,7 +938,7 @@ pub(crate) fn drive(
 fn chain_weights(
     circuit: &Circuit,
     dag: &DependenceDag,
-    weight: impl Fn(&autobraid_circuit::Gate) -> u64,
+    weight: impl Fn(&Gate) -> u64,
 ) -> Vec<u64> {
     let mut chains = vec![0u64; circuit.len()];
     for g in (0..circuit.len()).rev() {

@@ -4,11 +4,13 @@
 //!
 //! A [`StreamingPipeline`] is opened for a fixed qubit capacity, fed
 //! gates one at a time (or in bursts) with [`StreamingPipeline::push_gate`],
-//! and stepped with [`StreamingPipeline::step`]. Each step mirrors one
-//! iteration of the batch engine loop ([`crate::scheduler::run_with_base_and_dag`]):
-//! ready local gates execute together, ready two-qubit gates become a
-//! braiding layer routed by the strategy's [`RoutePolicy`], and gates the
-//! router defers stay in the frontier for a later step. Because the
+//! and stepped with [`StreamingPipeline::step`]. Each step is one step of
+//! the same engine the batch [`crate::scheduler::run`] drives: ready
+//! local gates execute together, ready two-qubit gates become a braiding
+//! layer routed by the strategy's [`RoutePolicy`], and gates the router
+//! defers stay in the frontier for a later step. The stream only wraps
+//! that step with what is online-specific: stall slots, fault injection,
+//! budget trimming, reroute counting and a per-layer probe. Because the
 //! stepping reuses the same policies ([`crate::scheduler::policy_for`]),
 //! every registry strategy works online; the Maslov swap network — whose
 //! construction needs the whole circuit up front — degrades to the stack
@@ -45,17 +47,18 @@
 //! routing work (see `docs/STREAMING.md` for the budget semantics).
 
 use crate::autobraid::ScheduleOutcome;
-use crate::config::{Recording, ScheduleConfig};
-use crate::metrics::{LayerPolicy, ScheduleResult, Step};
+use crate::config::ScheduleConfig;
 use crate::pipeline::{CompileReport, StageTimings};
-use crate::scheduler::{policy_for, LayerRoute, LayerView, ParallelStackPolicy, RoutePolicy};
+use crate::scheduler::{
+    policy_for, Engine, ParallelStackPolicy, RoutePolicy, RoutedLayer, StepHooks, Stepped,
+};
 use crate::strategy::Strategy;
-use autobraid_circuit::{Circuit, CircuitStats, Gate, GateId};
+use autobraid_circuit::{Circuit, CircuitStats, DependenceDag, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy, Vertex};
 use autobraid_placement::Placement;
-use autobraid_router::{CxRequest, InterferenceGraph};
 use autobraid_telemetry as telemetry;
-use std::time::{Duration, Instant};
+use std::borrow::Cow;
+use std::time::Duration;
 
 /// How a [`StreamingPipeline`] is opened.
 #[derive(Debug, Clone)]
@@ -254,93 +257,87 @@ pub enum StepOutcome {
     },
 }
 
-/// Incremental dependence frontier: the growable online counterpart of
-/// [`autobraid_circuit::Frontier`]. Gates arrive one at a time; edges
-/// are the same per-qubit last-writer edges [`autobraid_circuit::DependenceDag::new`]
-/// builds, so draining a fully pushed stream visits gates in exactly
-/// the batch frontier's order.
-#[derive(Debug, Default)]
-struct StreamFrontier {
-    /// Last gate touching each qubit (for edge construction).
-    last_on_qubit: Vec<Option<GateId>>,
-    /// Unsatisfied predecessor count per gate.
-    remaining_preds: Vec<usize>,
-    /// Forward edges (only from gates not yet done at push time).
-    successors: Vec<Vec<GateId>>,
-    /// Gates with no unsatisfied predecessors, in release order.
-    ready: Vec<GateId>,
-    /// Completion flags.
-    done: Vec<bool>,
-    /// Pushed but not yet completed gates.
-    outstanding: usize,
+/// The stream-only work around each shared engine step: budget
+/// trimming, the per-layer probe, and reroute counting.
+struct OnlineHooks {
+    step_budget: Option<Duration>,
+    /// Whether the last braid step overran the budget (trims the next).
+    over_budget: bool,
+    /// Braids the last step's trim held back.
+    trimmed: usize,
+    /// Gates deferred by an earlier routing pass (for reroute counting).
+    deferred_before: Vec<bool>,
 }
 
-impl StreamFrontier {
-    fn with_qubits(num_qubits: u32) -> Self {
-        StreamFrontier {
-            last_on_qubit: vec![None; num_qubits as usize],
-            ..StreamFrontier::default()
+impl StepHooks for OnlineHooks {
+    type Error = StreamError;
+
+    fn unroutable(&self, gate: GateId) -> StreamError {
+        StreamError::Unroutable { gate }
+    }
+
+    /// After an overrun, offers the router only the most critical half
+    /// of the layer (ties broken by gate id, so the trim is
+    /// deterministic for a given overrun pattern).
+    fn offer(&mut self, braids: &mut Vec<GateId>, priority: &[u64]) {
+        self.trimmed = 0;
+        if self.over_budget && braids.len() > 1 {
+            braids.sort_by_key(|&g| (std::cmp::Reverse(priority[g]), g));
+            let keep = braids.len().div_ceil(2);
+            self.trimmed = braids.len() - keep;
+            braids.truncate(keep);
+            telemetry::fine_counter("streaming.budget.trimmed_gates", self.trimmed as u64);
         }
     }
 
-    /// Registers gate `id` (which must equal the next dense id) with
-    /// the given operands; returns nothing — the gate becomes ready
-    /// immediately if every live predecessor has completed.
-    fn push(&mut self, id: GateId, gate: &Gate) {
-        debug_assert_eq!(id, self.remaining_preds.len());
-        let mut preds = 0usize;
-        let mut first_pred: Option<GateId> = None;
-        for q in gate.qubits() {
-            let slot = &mut self.last_on_qubit[q as usize];
-            if let Some(p) = *slot {
-                // Dedup: a two-qubit gate whose operands were both last
-                // written by the same gate gets a single edge, matching
-                // DependenceDag::new.
-                if first_pred != Some(p) && !self.done[p] {
-                    self.successors[p].push(id);
-                    preds += 1;
-                }
-                if first_pred.is_none() {
-                    first_pred = Some(p);
-                }
+    /// Scores the routing time against the budget, then probes the
+    /// layer: the probe re-derives accounting, path validity,
+    /// disjointness, and defect avoidance from nothing but the batch and
+    /// the outcome; the placement validator guards the qubit→cell map.
+    /// A layer that passes commits, so reroutes are counted here.
+    fn check(&mut self, layer: &RoutedLayer<'_>) -> Result<(), StreamError> {
+        if let Some(budget) = self.step_budget {
+            self.over_budget = layer.route_time > budget;
+            if self.over_budget {
+                telemetry::fine_counter("streaming.budget.overruns", 1);
             }
-            *slot = Some(id);
         }
-        self.remaining_preds.push(preds);
-        self.successors.push(Vec::new());
-        self.done.push(false);
-        self.outstanding += 1;
-        if preds == 0 {
-            self.ready.push(id);
+        if telemetry::fine_metrics_enabled() {
+            telemetry::observe(
+                "streaming.step.route_us",
+                layer.route_time.as_secs_f64() * 1e6,
+            );
         }
-    }
-
-    /// Ready gates in release order (mirrors `Frontier::ready`).
-    fn ready(&self) -> &[GateId] {
-        &self.ready
-    }
-
-    /// Marks `gate` executed, releasing newly ready successors in the
-    /// same `swap_remove` + push order as the batch frontier.
-    fn complete(&mut self, gate: GateId) {
-        let pos = self
-            .ready
+        if let Err(detail) = autobraid_router::probe::check_route_outcome(
+            layer.grid,
+            layer.requests,
+            layer.base,
+            layer.outcome,
+        ) {
+            return Err(StreamError::RouteInvariant {
+                step: layer.step,
+                detail,
+            });
+        }
+        if let Err(detail) = layer.placement.validate(layer.grid) {
+            return Err(StreamError::PlacementInvariant {
+                step: layer.step,
+                detail,
+            });
+        }
+        let reroutes = layer
+            .outcome
+            .routed
             .iter()
-            .position(|&g| g == gate)
-            .expect("completed gate must be ready");
-        self.ready.swap_remove(pos);
-        self.done[gate] = true;
-        self.outstanding -= 1;
-        // Successor lists are append-only and edges only come from
-        // not-yet-done predecessors, so each decrement here is unique.
-        let successors = std::mem::take(&mut self.successors[gate]);
-        for &s in &successors {
-            self.remaining_preds[s] -= 1;
-            if self.remaining_preds[s] == 0 {
-                self.ready.push(s);
-            }
+            .filter(|r| self.deferred_before[r.request.id])
+            .count();
+        for &g in &layer.outcome.failed {
+            self.deferred_before[g] = true;
         }
-        self.successors[gate] = successors;
+        if reroutes > 0 {
+            telemetry::fine_counter("streaming.reroutes", reroutes as u64);
+        }
+        Ok(())
     }
 }
 
@@ -361,45 +358,23 @@ impl StreamFrontier {
 /// ```
 pub struct StreamingPipeline {
     options: StreamingOptions,
-    config: ScheduleConfig,
-    grid: Grid,
-    placement: Placement,
-    initial_placement: Placement,
+    engine: Engine<'static>,
     policy: Box<dyn RoutePolicy>,
-    /// Defective channel vertices: initial overlay plus injected tile
-    /// failures. Every step's routing starts from a copy of this.
-    base: Occupancy,
-    /// Per-step scratch occupancy.
-    occupancy: Occupancy,
-    circuit: Circuit,
-    frontier: StreamFrontier,
-    result: ScheduleResult,
-    utilization_sum: f64,
-    step_index: u64,
+    initial_placement: Placement,
+    hooks: OnlineHooks,
     /// Remaining magic-stall slots.
     stall_steps: u64,
-    /// Cached remaining critical-path weight per known gate (see
-    /// [`Self::refresh_critical_path`]).
-    cp_cache: Vec<u64>,
-    /// Whether gates were pushed since [`Self::cp_cache`] was rebuilt.
-    cp_dirty: bool,
     /// Fault kinds injected but not yet acknowledged by a committed step.
     pending_recovery: Vec<&'static str>,
-    /// Gates deferred by an earlier routing pass (for reroute counting).
-    deferred_before: Vec<bool>,
-    /// Whether the last braid step overran the budget (trims the next).
-    over_budget: bool,
-    started: Instant,
-    record: bool,
 }
 
 impl std::fmt::Debug for StreamingPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingPipeline")
             .field("strategy", &self.options.strategy)
-            .field("pushed", &self.circuit.len())
-            .field("outstanding", &self.frontier.outstanding)
-            .field("steps", &self.step_index)
+            .field("pushed", &self.pushed())
+            .field("outstanding", &self.outstanding())
+            .field("steps", &self.steps_taken())
             .finish_non_exhaustive()
     }
 }
@@ -413,7 +388,9 @@ impl StreamingPipeline {
 
     /// Opens a stream with an explicit engine configuration (timing
     /// model, recording mode). `config.threads` is overridden by
-    /// [`StreamingOptions::threads`].
+    /// [`StreamingOptions::threads`]. The layout optimizer never runs
+    /// online, and the dependence DAG is always the plain shared-qubit
+    /// one.
     pub fn open_with_config(
         num_qubits: u32,
         options: StreamingOptions,
@@ -436,12 +413,6 @@ impl StreamingPipeline {
         }
         let mut circuit = Circuit::new(num_qubits);
         circuit.set_name(options.label.clone());
-        let result = ScheduleResult::new(
-            options.strategy.name(),
-            options.label.clone(),
-            config.timing,
-        );
-        let record = config.recording == Recording::Full;
         if telemetry::decisions_enabled() {
             telemetry::decision(&telemetry::Decision::EngineBegin {
                 scheduler: format!("{}+stream", options.strategy.name()),
@@ -449,66 +420,68 @@ impl StreamingPipeline {
                 grid_side: grid.cells_per_side(),
             });
         }
-        StreamingPipeline {
-            frontier: StreamFrontier::with_qubits(num_qubits),
-            occupancy: Occupancy::new(&grid),
-            initial_placement: placement.clone(),
-            placement,
-            policy,
-            base,
-            circuit,
-            result,
-            utilization_sum: 0.0,
-            step_index: 0,
-            stall_steps: 0,
-            cp_cache: Vec::new(),
-            cp_dirty: false,
-            pending_recovery: Vec::new(),
-            deferred_before: Vec::new(),
-            over_budget: false,
-            started: Instant::now(),
-            record,
-            options,
-            config,
+        let dag = DependenceDag::new(&circuit);
+        let engine = Engine::new(
+            options.strategy.name(),
+            Cow::Owned(circuit),
+            Cow::Owned(dag),
             grid,
+            base,
+            placement.clone(),
+            config,
+            false,
+        );
+        StreamingPipeline {
+            hooks: OnlineHooks {
+                step_budget: options.step_budget,
+                over_budget: false,
+                trimmed: 0,
+                deferred_before: Vec::new(),
+            },
+            engine,
+            policy,
+            initial_placement: placement,
+            stall_steps: 0,
+            pending_recovery: Vec::new(),
+            options,
         }
     }
 
     /// The lattice the stream schedules on.
     pub fn grid(&self) -> &Grid {
-        &self.grid
+        &self.engine.grid
     }
 
     /// The (fixed) placement of logical qubits.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.engine.placement
     }
 
     /// The fixed qubit capacity the stream was opened with: gates
     /// addressing a qubit at or beyond this are rejected by
     /// [`Self::push_gate`].
     pub fn capacity(&self) -> u32 {
-        self.circuit.num_qubits()
+        self.engine.circuit.num_qubits()
     }
 
     /// Gates pushed so far.
     pub fn pushed(&self) -> usize {
-        self.circuit.len()
+        self.engine.circuit.len()
     }
 
     /// Gates pushed but not yet executed.
     pub fn outstanding(&self) -> usize {
-        self.frontier.outstanding
+        self.engine.frontier.outstanding()
     }
 
     /// Whether every pushed gate has executed.
     pub fn is_drained(&self) -> bool {
-        self.frontier.outstanding == 0 && self.stall_steps == 0
+        self.engine.frontier.is_drained() && self.stall_steps == 0
     }
 
     /// Engine steps taken so far (local + braid; stall slots excluded).
     pub fn steps_taken(&self) -> u64 {
-        self.step_index
+        self.engine.step_index
     }
 
     /// Appends one gate to the stream.
@@ -519,17 +492,14 @@ impl StreamingPipeline {
     /// at or beyond the capacity the stream was opened with.
     pub fn push_gate(&mut self, gate: Gate) -> Result<GateId, StreamError> {
         let max = gate.max_qubit();
-        if max >= self.circuit.num_qubits() {
+        if max >= self.capacity() {
             return Err(StreamError::QubitOutOfRange {
                 qubit: max,
-                capacity: self.circuit.num_qubits(),
+                capacity: self.capacity(),
             });
         }
-        let id = self.circuit.len();
-        self.circuit.push(gate);
-        self.frontier.push(id, &gate);
-        self.deferred_before.push(false);
-        self.cp_dirty = true;
+        let id = self.engine.push(gate);
+        self.hooks.deferred_before.push(false);
         telemetry::fine_counter("streaming.gates.pushed", 1);
         Ok(id)
     }
@@ -550,15 +520,15 @@ impl StreamingPipeline {
         let detail = match fault {
             FaultEvent::TileFailure { row, col } => {
                 let v = Vertex::new(row, col);
-                if !self.grid.contains_vertex(v) {
+                if !self.grid().contains_vertex(v) {
                     return Err(StreamError::InvalidFault {
                         detail: format!(
                             "vertex ({row}, {col}) is outside the {0}x{0} grid",
-                            self.grid.cells_per_side()
+                            self.grid().cells_per_side()
                         ),
                     });
                 }
-                self.base.reserve(&self.grid, v);
+                self.engine.fail_vertex(v);
                 format!("vertex ({row}, {col}) failed")
             }
             FaultEvent::MagicStall { steps } => {
@@ -576,7 +546,7 @@ impl StreamingPipeline {
             telemetry::decision(&telemetry::Decision::FaultInjected {
                 kind: fault.kind().to_string(),
                 detail,
-                step: self.step_index,
+                step: self.steps_taken(),
             });
         }
         self.pending_recovery.push(fault.kind());
@@ -593,198 +563,29 @@ impl StreamingPipeline {
     pub fn step(&mut self) -> Result<StepOutcome, StreamError> {
         if self.stall_steps > 0 {
             self.stall_steps -= 1;
-            self.result.total_cycles += self.config.timing.braid_step_cycles();
+            self.engine.idle();
             telemetry::counter("streaming.stall.steps", 1);
             return Ok(StepOutcome::Stalled {
                 remaining: self.stall_steps,
             });
         }
-        if self.frontier.outstanding == 0 {
+        if self.engine.frontier.is_drained() {
             // A drained frontier trivially survives any pending fault;
             // acknowledge here so every `fault.injected` gets its
             // `fault.recovered` even when no further step ever commits.
             self.acknowledge_recovery();
             return Ok(StepOutcome::Idle);
         }
-
-        let ready: Vec<GateId> = self.frontier.ready().to_vec();
-        let locals: Vec<GateId> = ready
-            .iter()
-            .copied()
-            .filter(|&g| !self.circuit.gate(g).is_two_qubit())
-            .collect();
-        let mut braids: Vec<GateId> = ready
-            .iter()
-            .copied()
-            .filter(|&g| self.circuit.gate(g).is_two_qubit())
-            .collect();
-        if telemetry::fine_decisions_enabled() {
-            telemetry::decision(&telemetry::Decision::StepBegin {
-                step: self.step_index,
-                braids: braids.len(),
-                locals: locals.len(),
-            });
-        }
-        self.step_index += 1;
-
-        if braids.is_empty() {
-            debug_assert!(!locals.is_empty(), "frontier non-empty but nothing ready");
-            let executed = locals.len();
-            for &g in &locals {
-                self.frontier.complete(g);
-            }
-            self.result.local_steps += 1;
-            telemetry::fine_counter("streaming.steps.local", 1);
-            self.result.total_cycles += self.config.timing.local_step_cycles();
-            if self.record {
-                self.result.steps.push(Step::Local { gates: locals });
-            }
-            self.acknowledge_recovery();
-            return Ok(StepOutcome::Local { gates: executed });
-        }
-
-        // Routing priority: remaining critical-path weight over the
-        // gates known *so far*, cached between steps and rebuilt only
-        // when new gates have arrived — a push-then-drain session is
-        // linear in pushed gates, not quadratic. With every gate pushed
-        // up front this equals the batch engine's priorities exactly.
-        self.refresh_critical_path();
-
-        // Budget trimming: after an overrun, offer the router only the
-        // most critical half of the layer (ties broken by gate id, so
-        // the trim is deterministic for a given overrun pattern).
-        let mut trimmed = 0usize;
-        if self.over_budget && braids.len() > 1 {
-            braids.sort_by_key(|&g| (std::cmp::Reverse(self.cp_cache[g]), g));
-            let keep = braids.len().div_ceil(2);
-            trimmed = braids.len() - keep;
-            braids.truncate(keep);
-            telemetry::fine_counter("streaming.budget.trimmed_gates", trimmed as u64);
-        }
-
-        let requests: Vec<CxRequest> = braids
-            .iter()
-            .map(|&g| {
-                let (a, b) = self
-                    .circuit
-                    .gate(g)
-                    .pair()
-                    .expect("braid gates are two-qubit");
-                CxRequest::new(g, self.placement.cell_of(a), self.placement.cell_of(b))
-                    .with_priority(self.cp_cache[g] as i64)
-            })
-            .collect();
-        let graph = InterferenceGraph::build(&requests);
-
-        let route_started = Instant::now();
-        self.occupancy.clone_from(&self.base);
-        let LayerRoute {
-            outcome,
-            chosen,
-            reason,
-        } = self.policy.route_layer(
-            &self.grid,
-            &mut self.occupancy,
-            LayerView {
-                step: self.step_index - 1,
-                base: &self.base,
-                requests: &requests,
-                interference: &graph,
+        let outcome = match self.engine.step(self.policy.as_ref(), &mut self.hooks)? {
+            Stepped::Local { gates } => StepOutcome::Local { gates },
+            Stepped::Braid { routed, deferred } => StepOutcome::Braid {
+                routed,
+                deferred: deferred + self.hooks.trimmed,
             },
-        );
-        let wall = route_started.elapsed();
-        if let Some(budget) = self.options.step_budget {
-            self.over_budget = wall > budget;
-            if self.over_budget {
-                telemetry::fine_counter("streaming.budget.overruns", 1);
-            }
-        }
-        if telemetry::fine_metrics_enabled() {
-            telemetry::observe("streaming.step.route_us", wall.as_secs_f64() * 1e6);
-            telemetry::counter("streaming.gates.routed", outcome.routed.len() as u64);
-            telemetry::counter(
-                "streaming.gates.deferred",
-                (outcome.failed.len() + trimmed) as u64,
-            );
-        }
-
-        if outcome.routed.is_empty() {
-            // On a defect-free lattice at least one gate always routes;
-            // injected tile failures can disconnect operand tiles for
-            // good.
-            return Err(StreamError::Unroutable {
-                gate: requests.first().map(|r| r.id).unwrap_or_default(),
-            });
-        }
-
-        // Satellite invariants: the probe re-derives accounting, path
-        // validity, disjointness, and defect avoidance from nothing but
-        // the batch and the outcome; the placement validator guards the
-        // qubit→cell map. Both ran only on batch compiles before.
-        if let Err(detail) = autobraid_router::probe::check_route_outcome(
-            &self.grid, &requests, &self.base, &outcome,
-        ) {
-            return Err(StreamError::RouteInvariant {
-                step: self.step_index - 1,
-                detail,
-            });
-        }
-        if let Err(detail) = self.placement.validate(&self.grid) {
-            return Err(StreamError::PlacementInvariant {
-                step: self.step_index - 1,
-                detail,
-            });
-        }
-
-        let utilization = self.occupancy.utilization();
-        self.result.peak_utilization = self.result.peak_utilization.max(utilization);
-        self.utilization_sum += utilization;
-
-        let routed = outcome.routed.len();
-        let deferred = outcome.failed.len() + trimmed;
-        let mut reroutes = 0u64;
-        for r in &outcome.routed {
-            if self.deferred_before[r.request.id] {
-                reroutes += 1;
-            }
-            self.frontier.complete(r.request.id);
-        }
-        for &g in &outcome.failed {
-            self.deferred_before[g] = true;
-        }
-        if reroutes > 0 {
-            telemetry::fine_counter("streaming.reroutes", reroutes);
-        }
-        for &g in &locals {
-            self.frontier.complete(g);
-        }
-        self.result.braid_steps += 1;
-        telemetry::fine_counter("streaming.steps.braid", 1);
-        self.result.total_cycles += self.config.timing.braid_step_cycles();
-        if telemetry::fine_decisions_enabled() {
-            telemetry::decision(&telemetry::Decision::StrategyChosen {
-                step: self.step_index - 1,
-                policy: chosen.to_string(),
-                reason: reason.to_string(),
-            });
-        }
-        if self.record {
-            self.result.layer_policies.push(LayerPolicy {
-                step: self.step_index - 1,
-                policy: chosen.to_string(),
-                reason: reason.to_string(),
-            });
-            self.result.steps.push(Step::Braid {
-                braids: outcome
-                    .routed
-                    .into_iter()
-                    .map(|r| (r.request.id, r.path))
-                    .collect(),
-                locals,
-            });
-        }
+            Stepped::Swap => unreachable!("a stream never runs the layout optimizer"),
+        };
         self.acknowledge_recovery();
-        Ok(StepOutcome::Braid { routed, deferred })
+        Ok(outcome)
     }
 
     /// Steps until every pushed gate has executed.
@@ -813,53 +614,25 @@ impl StreamingPipeline {
     /// Propagates the first [`StreamError`] hit while draining.
     pub fn finish(mut self) -> Result<CompileReport, StreamError> {
         self.drain()?;
-        if self.result.braid_steps > 0 {
-            self.result.mean_utilization = self.utilization_sum / self.result.braid_steps as f64;
-        }
-        self.result.compile_seconds = self.started.elapsed().as_secs_f64();
+        let (result, _, grid, circuit) = self.engine.finish();
+        let circuit = circuit.into_owned();
         let timings = StageTimings {
-            schedule_seconds: self.result.compile_seconds,
+            schedule_seconds: result.compile_seconds,
             ..StageTimings::default()
         };
-        let stats = CircuitStats::of(&self.circuit);
         Ok(CompileReport {
-            stats,
+            stats: CircuitStats::of(&circuit),
             gates_removed: 0,
             outcome: ScheduleOutcome {
-                result: self.result,
-                grid: self.grid,
+                result,
+                grid,
                 initial_placement: self.initial_placement,
             },
             timings,
             telemetry: None,
             trace: None,
-            circuit: self.circuit,
+            circuit,
         })
-    }
-
-    /// Rebuilds [`Self::cp_cache`]: the remaining critical-path weight
-    /// of each known gate (itself included), in engine cycles — the
-    /// same priority the batch engine assigns, over the prefix of the
-    /// circuit seen so far. Gate ids are topologically ordered by
-    /// construction, so one reverse sweep suffices; weights only change
-    /// when gates are pushed (successor lists are append-only), so the
-    /// sweep runs once per push batch instead of once per step.
-    fn refresh_critical_path(&mut self) {
-        if !self.cp_dirty {
-            return;
-        }
-        self.cp_cache.clear();
-        self.cp_cache.resize(self.circuit.len(), 0);
-        for g in (0..self.circuit.len()).rev() {
-            let tail = self.frontier.successors[g]
-                .iter()
-                .map(|&s| self.cp_cache[s])
-                .max()
-                .unwrap_or(0);
-            self.cp_cache[g] =
-                tail + crate::critical_path::gate_cycles(self.circuit.gate(g), &self.config.timing);
-        }
-        self.cp_dirty = false;
     }
 
     /// Emits `fault.recovered` for every fault the stream has survived:
@@ -877,7 +650,7 @@ impl StreamingPipeline {
                     // Saturating: a fault can be acknowledged before any
                     // step was ever taken (injection into an empty or
                     // fully drained stream).
-                    step: self.step_index.saturating_sub(1),
+                    step: self.steps_taken().saturating_sub(1),
                 });
             }
         }
@@ -887,7 +660,7 @@ impl StreamingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::verify_schedule;
+    use crate::metrics::{verify_schedule, ScheduleResult};
     use crate::report::schedule_result_json;
     use crate::scheduler::run_with_base_occupancy;
     use autobraid_circuit::generators::{ising::ising, qft::qft};

@@ -50,11 +50,10 @@ pub mod path;
 pub mod pathfinder;
 pub mod probe;
 pub mod stack_finder;
-pub mod topology;
 
 pub use arena::{warm_thread_arena, with_search_arena, SearchArena};
 pub use astar::{find_path, SearchLimits};
-pub use interference::{IncrementalInterference, InterferenceGraph};
+pub use interference::InterferenceGraph;
 pub use llg::{decompose, Llg};
 pub use path::{BraidPath, CxRequest};
 pub use pathfinder::{route_negotiated, route_negotiated_with, NegotiationStats, PathFinderConfig};

@@ -153,12 +153,10 @@ pub fn route_concurrent_with(
 }
 
 /// [`route_concurrent_with`] seeded with the layer's interference graph
-/// (every node live), so the scheduling engine's incrementally
-/// maintained graph replaces the per-layer O(n²) rebuild. The outcome
-/// is byte-identical to the unseeded call whenever `interference`
-/// equals `InterferenceGraph::build(requests)` — which
-/// [`crate::interference::IncrementalInterference::layer_graph`]
-/// guarantees.
+/// (every node live), so the graph the scheduling engine already built
+/// for the layer's policy is not built again. The outcome is
+/// byte-identical to the unseeded call whenever `interference` equals
+/// `InterferenceGraph::build(requests)`.
 pub fn route_concurrent_seeded(
     grid: &Grid,
     occupancy: &mut Occupancy,

@@ -62,7 +62,7 @@ fn asap_levels_agree() {
     for_each_case(0xC1C_0003, 96, |circuit| {
         let dag = DependenceDag::new(&circuit);
         assert_eq!(dag.asap_levels(), bfs_levels(&dag));
-        let layers = Frontier::new(&dag).drain_layers();
+        let layers = Frontier::new(&dag).drain_layers(&dag);
         let mut order = Vec::new();
         for layer in &layers {
             order.extend(layer.iter().copied());

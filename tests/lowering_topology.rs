@@ -1,6 +1,7 @@
-//! Integration tests across the physical-lowering and topology layers:
-//! scheduled braids lower to disjoint instruction streams, and alternate
-//! paths for the same gate are interchangeable iff topology allows.
+//! Integration tests across the physical-lowering and routing layers:
+//! scheduled braids lower to disjoint instruction streams, and the router
+//! finds a braid for every corner pair of two tiles and detours around
+//! blocked channels.
 
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
@@ -11,7 +12,6 @@ use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{Cell, CodeParams, Grid, Occupancy, TimingModel, Vertex};
 use autobraid_router::astar::{find_path, SearchLimits};
 use autobraid_router::lowering::{lower_step, LatticeOp};
-use autobraid_router::topology::equivalent;
 use autobraid_router::BraidPath;
 
 use autobraid_router::stack_finder::route_concurrent;
@@ -71,7 +71,7 @@ fn every_scheduled_step_lowers_disjointly() {
 }
 
 #[test]
-fn router_detours_remain_topologically_equivalent_when_free() {
+fn blocked_channel_forces_a_detour_between_the_same_tiles() {
     // Route the same gate twice: once on an empty grid, once with the
     // straight channel blocked (forcing a detour through EMPTY tiles).
     let grid = Grid::new(5).unwrap();
@@ -86,40 +86,24 @@ fn router_detours_remain_topologically_equivalent_when_free() {
     }
     let detour = find_path(&grid, &blocked, a, b, SearchLimits::default()).unwrap();
     assert_ne!(straight, detour);
-
-    // No other logical qubits: all detours are equivalent.
-    assert!(equivalent(&grid, a, b, &straight, &detour, &[]));
-
-    // The loop between the two routes encloses the tiles they straddle;
-    // if any of those held a qubit, the braids would differ
-    // topologically.
-    let walk = autobraid_router::topology::loop_between(&grid, a, b, &straight, &detour)
-        .expect("paths connect the same tiles");
-    let enclosed = walk.enclosed_cells(&grid);
-    assert!(
-        !enclosed.is_empty(),
-        "a forced detour must enclose some tile"
-    );
-    for &cell in &enclosed {
-        assert!(
-            !equivalent(&grid, a, b, &straight, &detour, &[cell]),
-            "enclosed tile {cell} must break equivalence"
-        );
+    for path in [&straight, &detour] {
+        assert!(a.corners().contains(&path.start()));
+        assert!(b.corners().contains(&path.end()));
     }
+    assert!(
+        detour.vertices().iter().all(|&v| blocked.is_free(&grid, v)),
+        "the detour must avoid the blocked channel"
+    );
 }
 
 #[test]
 fn all_sixteen_endpoint_configurations_route_and_compare() {
     // Paper Fig. 5: a braid may start/end at any of the two tiles' corners
     // (16 combinations). Route one representative per combination by
-    // blocking the other corners, then check equivalence classes against
-    // an empty lattice (all equivalent when nothing else is placed).
+    // blocking the other corners, and compare its ends with the corners
+    // left open.
     let grid = Grid::new(6).unwrap();
     let (a, b) = (Cell::new(2, 1), Cell::new(2, 4));
-    let reference = {
-        let occ = Occupancy::new(&grid);
-        find_path(&grid, &occ, a, b, SearchLimits::default()).unwrap()
-    };
     let mut routed = 0;
     for ca in a.corners() {
         for cb in b.corners() {
@@ -137,10 +121,6 @@ fn all_sixteen_endpoint_configurations_route_and_compare() {
             if let Some(path) = find_path(&grid, &occ, a, b, SearchLimits::default()) {
                 assert_eq!(path.start(), ca);
                 assert_eq!(path.end(), cb);
-                assert!(
-                    equivalent(&grid, a, b, &reference, &path, &[]),
-                    "({ca}, {cb}) inequivalent on an empty lattice"
-                );
                 routed += 1;
             }
         }
