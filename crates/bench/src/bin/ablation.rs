@@ -10,7 +10,7 @@ use autobraid::async_engine::schedule_async;
 use autobraid::config::ScheduleConfig;
 use autobraid::maslov::schedule_maslov;
 use autobraid::report::Table;
-use autobraid::scheduler::{run, GreedyPolicy, RoutePolicy, StackPolicy};
+use autobraid::scheduler::{run, GreedyPolicy, ParallelStackPolicy, RoutePolicy};
 use autobraid::AutoBraid;
 use autobraid_bench::eval_config;
 use autobraid_circuit::{generators, Circuit};
@@ -93,7 +93,7 @@ fn main() {
             circuit,
             &grid,
             optimized.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
             &mut table,
@@ -125,7 +125,7 @@ fn main() {
             circuit,
             &grid,
             row_major,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
             &mut table,
@@ -135,7 +135,7 @@ fn main() {
             circuit,
             &grid,
             partitioned,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
             &mut table,
@@ -145,7 +145,7 @@ fn main() {
             circuit,
             &grid,
             optimized.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
             &mut table,
@@ -157,7 +157,7 @@ fn main() {
             circuit,
             &grid,
             optimized.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             true,
             &config,
             &mut table,
@@ -190,7 +190,7 @@ fn main() {
             circuit,
             &grid,
             optimized,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &relaxed_cfg,
             &mut table,

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release -p autobraid-bench --bin fig18`.
 
 use autobraid::report::Table;
-use autobraid::scheduler::{run, StackPolicy};
+use autobraid::scheduler::{run, ParallelStackPolicy};
 use autobraid::AutoBraid;
 use autobraid_bench::{eval_config, full_run_requested};
 use autobraid_circuit::generators;
@@ -42,7 +42,7 @@ fn main() {
                 &circuit,
                 &grid,
                 placement.clone(),
-                &StackPolicy,
+                &ParallelStackPolicy::new(1),
                 p > 0.0,
                 &cfg,
             );

@@ -11,7 +11,7 @@
 use autobraid::config::ScheduleConfig;
 use autobraid::magic::{place_with_factories, rewrite_with_factories};
 use autobraid::report::Table;
-use autobraid::scheduler::{run, StackPolicy};
+use autobraid::scheduler::{run, ParallelStackPolicy};
 use autobraid::AutoBraid;
 use autobraid_bench::eval_config;
 use autobraid_circuit::Circuit;
@@ -71,7 +71,7 @@ fn main() {
             &rewrite.circuit,
             &grid,
             placement,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
         );

@@ -84,7 +84,7 @@ fn main() {
     println!("outputs byte-identical across thread counts ✓\n");
 
     // Intra-circuit parallelism: one circuit, the same thread budget
-    // spent inside the compile (LLG routing + annealing portfolio).
+    // spent inside the compile (parallel small-LLG routing).
     let big = if tiny {
         qft(12).unwrap()
     } else {

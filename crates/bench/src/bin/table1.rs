@@ -12,7 +12,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::report::{format_us, Table};
-use autobraid::scheduler::{run, StackPolicy};
+use autobraid::scheduler::{run, ParallelStackPolicy};
 use autobraid::AutoBraid;
 use autobraid_bench::{eval_config, full_run_requested, TABLE1};
 use autobraid_lattice::Grid;
@@ -50,7 +50,7 @@ fn main() {
             &circuit,
             &grid,
             before_placement,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &ScheduleConfig {
                 annealing: None,
@@ -67,7 +67,7 @@ fn main() {
             &circuit,
             &grid,
             after_placement,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
         );

@@ -15,23 +15,26 @@
 //! (`layered`, `burst`, `chain`, `qft`, `ising` — see
 //! `crates/conformance`) so the perf trajectory tracks the same
 //! workloads the differential oracle checks for correctness.
+//!
+//! This is the workspace's only micro-benchmark harness: every kernel
+//! worth timing is a suite entry here, gated by `bench regress`.
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
 use autobraid::streaming::{StreamingOptions, StreamingPipeline};
-use autobraid_circuit::generators::{ising::ising, qft::qft, random};
+use autobraid_circuit::generators::{ising::ising, qaoa::qaoa, qft::qft, random};
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Cell, Grid, Occupancy};
-use autobraid_placement::{anneal, AnnealConfig, Placement};
+use autobraid_placement::{anneal, partition_placement, AnnealConfig, Placement};
 use autobraid_router::astar::{find_path, SearchLimits};
 use autobraid_router::path::CxRequest;
 use autobraid_router::route_negotiated;
-use autobraid_router::stack_finder::route_concurrent;
+use autobraid_router::stack_finder::{route_concurrent, route_greedy};
 use autobraid_service::{Client, CompileRequest, Server, ServiceConfig};
-use autobraid_telemetry::bench::black_box;
 use autobraid_telemetry::{
     install, FanoutRecorder, FlightRecorder, JsonValue, MemoryRecorder, Recorder, Rng64,
     WindowedRecorder,
 };
+use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -193,9 +196,10 @@ pub struct BenchCase {
     pub run: Box<dyn Fn()>,
 }
 
-/// The fixed regression suite: micro-benchmarks of the A*/stack-finder
-/// /annealing hot paths plus end-to-end [`Pipeline`] compiles of the
-/// conformance generator families.
+/// The fixed regression suite: micro-benchmarks of the A*, stack-finder,
+/// PathFinder, greedy-router, partitioning and annealing hot paths plus
+/// end-to-end [`Pipeline`] compiles of the conformance generator
+/// families.
 pub fn suite() -> Vec<BenchCase> {
     let mut cases: Vec<BenchCase> = Vec::new();
 
@@ -312,10 +316,7 @@ pub fn suite() -> Vec<BenchCase> {
                 &circuit,
                 &grid,
                 start,
-                &AnnealConfig {
-                    iterations: 200,
-                    ..AnnealConfig::default()
-                },
+                &AnnealConfig { iterations: 200 },
             ));
         }),
     });
@@ -449,7 +450,47 @@ pub fn suite() -> Vec<BenchCase> {
         }),
     });
 
+    // --- micro: the greedy baseline router on a random 22x22 batch of
+    // 100 pairs (the baseline scheduler's routing kernel) ---
+    let grid = Grid::new(22).expect("valid grid");
+    let base = Occupancy::new(&grid);
+    let requests = random_batch(22, 100, 42);
+    cases.push(BenchCase {
+        name: "router/greedy_batch",
+        run: Box::new(move || {
+            let mut occ = base.clone();
+            black_box(route_greedy(&grid, &mut occ, &requests));
+        }),
+    });
+
+    // --- micro: multilevel-partition initial placement (the step
+    // before annealing on every non-linear compile) ---
+    let circuit = qaoa(300, 4, 3, 9).expect("qaoa builds");
+    let grid = Grid::with_capacity_for(300);
+    cases.push(BenchCase {
+        name: "placement/partition",
+        run: Box::new(move || {
+            black_box(partition_placement(&circuit, &grid));
+        }),
+    });
+
     cases
+}
+
+/// `pairs` CX requests between distinct cells of a `side x side` grid,
+/// drawn by a seeded shuffle.
+fn random_batch(side: u32, pairs: usize, seed: u64) -> Vec<CxRequest> {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut cells: Vec<Cell> = (0..side)
+        .flat_map(|r| (0..side).map(move |c| Cell::new(r, c)))
+        .collect();
+    rng.shuffle(&mut cells);
+    cells
+        .chunks(2)
+        .take(pairs)
+        .enumerate()
+        .map(|(i, pair)| CxRequest::new(i, pair[0], pair[1]))
+        .collect()
 }
 
 /// The `bench observe` pair: the same `qft(10)` end-to-end compile
@@ -590,52 +631,15 @@ pub fn run_baseline(repeats: usize, mut progress: impl FnMut(&str, f64)) -> Base
     }
 }
 
-/// One entry that slowed down past its allowed threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Suite entry name.
-    pub name: String,
-    /// Recorded normalized score.
-    pub base_normalized: f64,
-    /// Fresh normalized score.
-    pub fresh_normalized: f64,
-    /// `fresh / base`.
-    pub ratio: f64,
-    /// The noise-aware threshold the ratio exceeded.
-    pub allowed: f64,
-}
-
-/// Compares a fresh run against the recorded baseline.
-///
-/// The per-entry threshold is `BASE_SLACK` widened by both runs'
-/// measured dispersion (and capped): an entry regresses only when its
-/// machine-normalized score grows beyond what the noise of either
-/// measurement can explain. Entries present in only one of the two
-/// baselines are skipped — the gate compares, it does not enforce
-/// suite membership.
-pub fn compare(base: &Baseline, fresh: &Baseline) -> Vec<Regression> {
-    classify(base, fresh)
-        .into_iter()
-        .filter(Comparison::regressed)
-        .map(|c| Regression {
-            name: c.name,
-            base_normalized: c.base_normalized,
-            fresh_normalized: c.fresh_normalized,
-            ratio: c.ratio,
-            allowed: c.allowed,
-        })
-        .collect()
-}
-
 /// Fraction of its allowed threshold an entry must consume to count as
 /// *near-threshold* in [`Comparison::is_near_threshold`]: close enough
 /// that the next bit of drift would fire the gate.
 pub const NEAR_THRESHOLD: f64 = 0.9;
 
 /// One suite entry's comparison against the baseline — regressed or
-/// not. [`compare`] keeps only the failures; perf-gate tooling that
-/// also wants the *near misses* (for proactive tracing) uses
-/// [`classify`] and [`Comparison::is_near_threshold`].
+/// not. The gate fails on [`Comparison::regressed`]; perf-gate tooling
+/// that also wants the *near misses* (for proactive tracing) uses
+/// [`Comparison::is_near_threshold`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Suite entry name.
@@ -663,9 +667,14 @@ impl Comparison {
     }
 }
 
-/// Compares every shared suite entry against the baseline, regressed
-/// or not, using the same noise-aware threshold as [`compare`].
-/// Entries present in only one of the two baselines are skipped.
+/// Compares a fresh run against the recorded baseline, entry by entry.
+///
+/// The per-entry threshold is `BASE_SLACK` widened by both runs'
+/// measured dispersion (and capped): an entry regresses only when its
+/// machine-normalized score grows beyond what the noise of either
+/// measurement can explain. Entries present in only one of the two
+/// baselines are skipped — the gate compares, it does not enforce
+/// suite membership.
 pub fn classify(base: &Baseline, fresh: &Baseline) -> Vec<Comparison> {
     let mut out = Vec::new();
     for b in &base.entries {
@@ -709,6 +718,13 @@ mod tests {
         }
     }
 
+    fn regressions(base: &Baseline, fresh: &Baseline) -> Vec<Comparison> {
+        classify(base, fresh)
+            .into_iter()
+            .filter(Comparison::regressed)
+            .collect()
+    }
+
     #[test]
     fn json_round_trips() {
         let b = baseline(vec![
@@ -734,23 +750,23 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let b = baseline(vec![entry("a", 10.0, 0.05), entry("b", 2.0, 0.01)]);
-        assert!(compare(&b, &b).is_empty());
+        assert!(regressions(&b, &b).is_empty());
     }
 
     #[test]
     fn small_drift_within_slack_passes() {
         let base = baseline(vec![entry("a", 10.0, 0.05)]);
         let fresh = baseline(vec![entry("a", 12.0, 0.05)]); // +20% < 35% slack
-        assert!(compare(&base, &fresh).is_empty());
+        assert!(regressions(&base, &fresh).is_empty());
     }
 
     #[test]
     fn large_slowdown_fires() {
         let base = baseline(vec![entry("a", 10.0, 0.02), entry("b", 5.0, 0.02)]);
         let fresh = baseline(vec![entry("a", 25.0, 0.02), entry("b", 5.1, 0.02)]);
-        let regressions = compare(&base, &fresh);
-        assert_eq!(regressions.len(), 1);
-        let r = &regressions[0];
+        let fired = regressions(&base, &fresh);
+        assert_eq!(fired.len(), 1);
+        let r = &fired[0];
         assert_eq!(r.name, "a");
         assert!((r.ratio - 2.5).abs() < 1e-9);
         assert!(r.ratio > r.allowed);
@@ -762,9 +778,9 @@ mod tests {
         // the noisy one whose dispersion explains it.
         let base = baseline(vec![entry("quiet", 10.0, 0.0), entry("noisy", 10.0, 0.4)]);
         let fresh = baseline(vec![entry("quiet", 16.0, 0.0), entry("noisy", 16.0, 0.4)]);
-        let regressions = compare(&base, &fresh);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].name, "quiet");
+        let fired = regressions(&base, &fresh);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].name, "quiet");
     }
 
     #[test]
@@ -789,17 +805,16 @@ mod tests {
         assert!(!by_name("ok").regressed() && !by_name("ok").is_near_threshold());
         assert!(!by_name("near").regressed() && by_name("near").is_near_threshold());
         assert!(by_name("fired").regressed() && !by_name("fired").is_near_threshold());
-        // compare() remains exactly the regressed subset.
-        let regressions = compare(&base, &fresh);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].name, "fired");
+        let fired = regressions(&base, &fresh);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].name, "fired");
     }
 
     #[test]
     fn missing_entries_are_skipped_not_errors() {
         let base = baseline(vec![entry("gone", 10.0, 0.0)]);
         let fresh = baseline(vec![entry("new", 10.0, 0.0)]);
-        assert!(compare(&base, &fresh).is_empty());
+        assert!(regressions(&base, &fresh).is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use shrink::shrink;
 mod selftest {
     use crate::oracle::{check_schedule_with_policy, Divergence};
     use crate::{shrink, ConformanceCase};
-    use autobraid::{RoutePolicy, StackPolicy};
+    use autobraid::{ParallelStackPolicy, RoutePolicy};
     use autobraid_circuit::generators::qft::qft;
     use autobraid_lattice::{Grid, Occupancy};
     use autobraid_router::path::CxRequest;
@@ -66,7 +66,7 @@ mod selftest {
             occupancy: &mut Occupancy,
             requests: &[CxRequest],
         ) -> RouteOutcome {
-            let mut outcome = StackPolicy.route(grid, occupancy, requests);
+            let mut outcome = ParallelStackPolicy::new(1).route(grid, occupancy, requests);
             if outcome.routed.len() >= 2 {
                 let first = outcome.routed[0].path.clone();
                 let second = outcome.routed[1].path.clone();
@@ -88,7 +88,7 @@ mod selftest {
         // Sanity: the honest policy sails through the same checks.
         let case = ConformanceCase::new(qft(6).unwrap(), 0);
         let mut clean = Vec::new();
-        check_schedule_with_policy(&case, &StackPolicy, &mut clean);
+        check_schedule_with_policy(&case, &ParallelStackPolicy::new(1), &mut clean);
         assert!(clean.is_empty(), "{clean:?}");
 
         // The corrupted router must be caught...

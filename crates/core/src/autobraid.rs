@@ -18,7 +18,7 @@ use crate::scheduler::{
 use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::{
-    anneal_portfolio, initial::partition_placement, linear_placement, CouplingGraph, Placement,
+    anneal, initial::partition_placement, linear_placement, CouplingGraph, Placement,
 };
 use autobraid_telemetry as telemetry;
 
@@ -80,10 +80,7 @@ impl AutoBraid {
         }
         let seed = partition_placement(circuit, grid);
         match &self.config.annealing {
-            Some(cfg) => {
-                anneal_portfolio(circuit, grid, seed, cfg, self.config.effective_threads())
-                    .placement
-            }
+            Some(cfg) => anneal(circuit, grid, seed, cfg).placement,
             None => seed,
         }
     }
@@ -103,7 +100,7 @@ impl AutoBraid {
     /// initial placement as [`schedule_sp`](AutoBraid::schedule_sp) —
     /// the rival of the paper's stack finder, no dynamic placement.
     pub fn schedule_pathfinder(&self, circuit: &Circuit) -> ScheduleOutcome {
-        self.schedule_with_policy("pathfinder", &PathFinderPolicy::default(), circuit)
+        self.schedule_with_policy("pathfinder", &PathFinderPolicy, circuit)
     }
 
     /// Schedules with the per-layer strategy portfolio

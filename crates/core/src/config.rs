@@ -13,6 +13,13 @@ pub enum Recording {
     StatsOnly,
 }
 
+/// Maximum swap pairs the layout optimizer inserts per round.
+pub const MAX_SWAPS_PER_ROUND: usize = 64;
+
+/// Maximum consecutive layout-optimizer rounds before a normal step is
+/// forced (guards against oscillation).
+pub const MAX_CONSECUTIVE_SWAP_ROUNDS: usize = 2;
+
 /// Configuration shared by all schedulers in this crate.
 ///
 /// # Examples
@@ -31,13 +38,10 @@ pub struct ScheduleConfig {
     pub timing: TimingModel,
     /// The paper's `p` threshold in `[0, 1]`: the layout optimizer runs
     /// when the fraction of scheduled CX gates in a step falls *below*
-    /// this value. `0.0` disables dynamic layout (autobraid-sp).
+    /// this value. `0.0` disables dynamic layout (autobraid-sp). Each
+    /// round inserts at most [`MAX_SWAPS_PER_ROUND`] swaps, and at most
+    /// [`MAX_CONSECUTIVE_SWAP_ROUNDS`] rounds run back to back.
     pub layout_threshold: f64,
-    /// Maximum swap pairs inserted per optimizer invocation.
-    pub max_swaps_per_round: usize,
-    /// Maximum consecutive optimizer rounds before a normal step is
-    /// forced (guards against oscillation).
-    pub max_consecutive_swap_rounds: usize,
     /// Simulated-annealing refinement of the initial placement
     /// (`None` skips it — the "Before LLG" configuration of Table 1).
     pub annealing: Option<AnnealConfig>,
@@ -49,10 +53,10 @@ pub struct ScheduleConfig {
     /// for the ablation study.
     pub commutation_aware: bool,
     /// Worker threads for intra-circuit parallelism (concurrent routing
-    /// of independent LLGs, multi-chain annealing portfolios). `0` and
-    /// `1` both mean fully serial. Compile *outputs* are bit-identical
-    /// for every value — parallel paths only precompute what the serial
-    /// order would have produced (see `docs/RUNTIME.md`).
+    /// of independent small LLGs). `0` and `1` both mean fully serial.
+    /// Compile *outputs* are bit-identical for every value — parallel
+    /// paths only precompute what the serial order would have produced
+    /// (see `docs/RUNTIME.md`).
     pub threads: usize,
 }
 
@@ -61,8 +65,6 @@ impl Default for ScheduleConfig {
         ScheduleConfig {
             timing: TimingModel::default(),
             layout_threshold: 0.5,
-            max_swaps_per_round: 64,
-            max_consecutive_swap_rounds: 2,
             annealing: Some(AnnealConfig::default()),
             recording: Recording::Full,
             commutation_aware: false,

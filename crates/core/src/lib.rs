@@ -85,7 +85,6 @@ pub use metrics::{
 pub use scheduler::{
     policy_for, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, LayerView,
     ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy, ScheduleError,
-    StackPolicy,
 };
 pub use strategy::{Strategy, StrategyInfo, REGISTRY};
 pub use streaming::{FaultEvent, StepOutcome, StreamError, StreamingOptions, StreamingPipeline};

@@ -142,7 +142,7 @@ mod tests {
     use crate::config::ScheduleConfig;
     use crate::critical_path::critical_path_cycles;
     use crate::metrics::verify_schedule;
-    use crate::scheduler::{run, StackPolicy};
+    use crate::scheduler::{run, ParallelStackPolicy};
     use crate::AutoBraid;
     use autobraid_circuit::generators::qft::qft;
 
@@ -216,7 +216,7 @@ mod tests {
             &rewrite.circuit,
             &grid,
             placement.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
         );
@@ -245,7 +245,7 @@ mod tests {
             &rewrite.circuit,
             &grid,
             placement,
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &config,
         );

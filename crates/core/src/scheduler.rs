@@ -6,16 +6,16 @@
 //! initial placement, and whether the dynamic layout optimizer may run.
 //! This makes every reported speedup a pure algorithm comparison.
 
-use crate::config::{Recording, ScheduleConfig};
+use crate::config::{Recording, ScheduleConfig, MAX_CONSECUTIVE_SWAP_ROUNDS, MAX_SWAPS_PER_ROUND};
 use crate::metrics::{LayerPolicy, ScheduleResult, Step};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
 use autobraid_circuit::{Circuit, DependenceDag, Frontier, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy, Vertex};
 use autobraid_placement::Placement;
-use autobraid_router::pathfinder::{route_negotiated_with, PathFinderConfig};
+use autobraid_router::pathfinder::route_negotiated_with;
 use autobraid_router::stack_finder::{
-    route_concurrent, route_concurrent_seeded, route_concurrent_with, route_greedy, RouteOutcome,
+    route_concurrent_seeded, route_concurrent_with, route_greedy, RouteOutcome,
 };
 use autobraid_router::{CxRequest, InterferenceGraph};
 use autobraid_telemetry as telemetry;
@@ -108,45 +108,13 @@ pub trait RoutePolicy {
     }
 }
 
-/// The paper's stack-based path finder (Fig. 13).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StackPolicy;
-
-impl RoutePolicy for StackPolicy {
-    fn name(&self) -> &'static str {
-        "stack"
-    }
-
-    fn route(
-        &self,
-        grid: &Grid,
-        occupancy: &mut Occupancy,
-        requests: &[CxRequest],
-    ) -> RouteOutcome {
-        route_concurrent(grid, occupancy, requests)
-    }
-
-    fn route_layer(&self, grid: &Grid, occupancy: &mut Occupancy, layer: LayerView) -> LayerRoute {
-        LayerRoute {
-            outcome: route_concurrent_seeded(
-                grid,
-                occupancy,
-                layer.requests,
-                1,
-                layer.interference,
-            ),
-            chosen: self.name(),
-            reason: "fixed",
-        }
-    }
-}
-
-/// [`StackPolicy`] with a worker-thread budget: independent small LLGs
-/// of each batch route concurrently
+/// The paper's stack-based path finder (Fig. 13) with a worker-thread
+/// budget: independent small LLGs of each batch route concurrently
 /// ([`autobraid_router::stack_finder::route_concurrent_with`]). The
-/// routed outcome is bit-identical to [`StackPolicy`] for every thread
-/// count — parallelism is a wall-clock optimization only (the
-/// determinism contract of `docs/RUNTIME.md`).
+/// routed outcome is bit-identical for every thread count — parallelism
+/// is a wall-clock optimization only (the determinism contract of
+/// `docs/RUNTIME.md`). `ParallelStackPolicy::new(1)` is the serial
+/// stack finder.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelStackPolicy {
     /// Worker threads per routing pass (0 and 1 both mean serial).
@@ -214,10 +182,7 @@ impl RoutePolicy for GreedyPolicy {
 /// history congestion costs until the paths are disjoint (or the
 /// iteration cap forces a deterministic serial commit).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PathFinderPolicy {
-    /// Negotiation knobs (iteration cap, cost weights).
-    pub config: PathFinderConfig,
-}
+pub struct PathFinderPolicy;
 
 impl RoutePolicy for PathFinderPolicy {
     fn name(&self) -> &'static str {
@@ -230,7 +195,7 @@ impl RoutePolicy for PathFinderPolicy {
         occupancy: &mut Occupancy,
         requests: &[CxRequest],
     ) -> RouteOutcome {
-        route_negotiated_with(grid, occupancy, requests, &self.config).0
+        route_negotiated_with(grid, occupancy, requests).0
     }
 }
 
@@ -256,18 +221,12 @@ pub struct PortfolioPolicy {
     /// Worker threads handed to the stack finder (the PathFinder side
     /// is single-threaded by construction).
     pub threads: usize,
-    /// Negotiation knobs for the PathFinder side.
-    pub config: PathFinderConfig,
 }
 
 impl PortfolioPolicy {
-    /// A portfolio over `threads` stack-finder workers and a default
-    /// PathFinder configuration.
+    /// A portfolio over `threads` stack-finder workers.
     pub fn new(threads: usize) -> Self {
-        PortfolioPolicy {
-            threads,
-            config: PathFinderConfig::default(),
-        }
+        PortfolioPolicy { threads }
     }
 
     /// Interference-graph edge density in `[0, 1]` (1 = every pair of
@@ -313,8 +272,7 @@ impl RoutePolicy for PortfolioPolicy {
         let stack = |occ: &mut Occupancy| {
             route_concurrent_seeded(grid, occ, requests, self.threads, layer.interference)
         };
-        let negotiate =
-            |occ: &mut Occupancy| route_negotiated_with(grid, occ, requests, &self.config).0;
+        let negotiate = |occ: &mut Occupancy| route_negotiated_with(grid, occ, requests).0;
 
         if requests.len() <= 3 {
             telemetry::fine_counter("scheduler.portfolio.stack_picks", 1);
@@ -386,7 +344,7 @@ impl RoutePolicy for PortfolioPolicy {
 pub fn policy_for(strategy: Strategy, threads: usize) -> Option<Box<dyn RoutePolicy>> {
     match strategy {
         Strategy::Full | Strategy::Stack => Some(Box::new(ParallelStackPolicy::new(threads))),
-        Strategy::PathFinder => Some(Box::new(PathFinderPolicy::default())),
+        Strategy::PathFinder => Some(Box::new(PathFinderPolicy)),
         Strategy::Portfolio => Some(Box::new(PortfolioPolicy::new(threads))),
         Strategy::Baseline => Some(Box::new(GreedyPolicy)),
         _ => None,
@@ -829,13 +787,13 @@ impl<'a> Engine<'a> {
         // scheduled, spend a swap layer instead of committing this step.
         if self.allow_layout_optimizer
             && outcome.ratio() < self.config.layout_threshold
-            && self.consecutive_swap_rounds < self.config.max_consecutive_swap_rounds
+            && self.consecutive_swap_rounds < MAX_CONSECUTIVE_SWAP_ROUNDS
         {
             let swaps = plan_swap_layer(
                 &self.grid,
                 &self.placement,
                 &requests,
-                self.config.max_swaps_per_round,
+                MAX_SWAPS_PER_ROUND,
                 &self.base,
             );
             if !swaps.is_empty() {
@@ -979,7 +937,7 @@ mod tests {
     #[test]
     fn drains_bv_at_critical_path() {
         let c = bv_all_ones(20).unwrap();
-        let r = schedule(&c, &StackPolicy, false);
+        let r = schedule(&c, &ParallelStackPolicy::new(1), false);
         let cp = crate::critical_path::critical_path_cycles(&c, r.timing());
         assert_eq!(
             r.total_cycles, cp,
@@ -990,7 +948,7 @@ mod tests {
     #[test]
     fn drains_qft_correctly_with_both_policies() {
         let c = qft(12).unwrap();
-        let stack = schedule(&c, &StackPolicy, false);
+        let stack = schedule(&c, &ParallelStackPolicy::new(1), false);
         let greedy = schedule(&c, &GreedyPolicy, false);
         let cp = crate::critical_path::critical_path_cycles(&c, stack.timing());
         assert!(stack.total_cycles >= cp);
@@ -1000,7 +958,7 @@ mod tests {
     #[test]
     fn ising_parallel_layers_get_packed() {
         let c = ising(16, 1).unwrap();
-        let r = schedule(&c, &StackPolicy, false);
+        let r = schedule(&c, &ParallelStackPolicy::new(1), false);
         // 16-qubit Ising on a 4×4 row-major grid: coupled pairs are near
         // each other, braids pack densely; the step count must be far
         // below the serial count of 30 CXs.
@@ -1010,8 +968,48 @@ mod tests {
     #[test]
     fn layout_optimizer_does_not_break_verification() {
         let c = qft(16).unwrap();
-        let r = schedule(&c, &StackPolicy, true);
+        let r = schedule(&c, &ParallelStackPolicy::new(1), true);
         assert!(r.total_cycles > 0);
+    }
+
+    #[test]
+    fn layout_optimizer_respects_its_guards() {
+        // Random CX layers on a row-major layout, with the optimizer
+        // firing whenever a layer does not fully route: swap layers must
+        // come in runs of at most MAX_CONSECUTIVE_SWAP_ROUNDS and each
+        // must hold at most MAX_SWAPS_PER_ROUND swaps.
+        let c = autobraid_circuit::generators::random::layered_cx(64, 6, 1.0, 7).unwrap();
+        let grid = Grid::with_capacity_for(64);
+        let placement = Placement::row_major(&grid, 64);
+        let config = ScheduleConfig::default().with_layout_threshold(1.0);
+        let (r, _) = run(
+            "t",
+            &c,
+            &grid,
+            placement.clone(),
+            &ParallelStackPolicy::new(1),
+            true,
+            &config,
+        );
+        verify_schedule(&c, &grid, &placement, &r).expect("schedule verifies");
+        let mut run_len = 0;
+        let mut longest_run = 0;
+        let mut widest = 0;
+        for step in &r.steps {
+            if let Step::SwapLayer { swaps } = step {
+                run_len += 1;
+                widest = widest.max(swaps.len());
+            } else {
+                run_len = 0;
+            }
+            longest_run = longest_run.max(run_len);
+        }
+        assert!(r.swap_layers > 0, "the optimizer must commit a swap layer");
+        assert!(
+            longest_run <= MAX_CONSECUTIVE_SWAP_ROUNDS,
+            "{longest_run} swap layers in a row"
+        );
+        assert!(widest <= MAX_SWAPS_PER_ROUND, "{widest} swaps in one layer");
     }
 
     #[test]
@@ -1020,7 +1018,15 @@ mod tests {
         let grid = Grid::with_capacity_for(8);
         let placement = Placement::row_major(&grid, 8);
         let config = ScheduleConfig::default().with_recording(Recording::StatsOnly);
-        let (r, _) = run("t", &c, &grid, placement, &StackPolicy, false, &config);
+        let (r, _) = run(
+            "t",
+            &c,
+            &grid,
+            placement,
+            &ParallelStackPolicy::new(1),
+            false,
+            &config,
+        );
         assert!(r.steps.is_empty());
         assert!(r.total_cycles > 0);
     }
@@ -1038,7 +1044,7 @@ mod tests {
             &c,
             &grid,
             placement.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &plain_cfg,
         );
@@ -1047,7 +1053,7 @@ mod tests {
             &c,
             &grid,
             placement.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             false,
             &relaxed_cfg,
         );
@@ -1081,7 +1087,7 @@ mod tests {
                         &circuit,
                         &grid,
                         placement.clone(),
-                        &StackPolicy,
+                        &ParallelStackPolicy::new(1),
                         optimizer,
                         &config,
                         &base,
@@ -1111,7 +1117,7 @@ mod tests {
     #[test]
     fn utilization_is_within_bounds() {
         let c = ising(25, 2).unwrap();
-        let r = schedule(&c, &StackPolicy, false);
+        let r = schedule(&c, &ParallelStackPolicy::new(1), false);
         assert!(r.peak_utilization > 0.0 && r.peak_utilization <= 1.0);
         assert!(r.mean_utilization > 0.0 && r.mean_utilization <= r.peak_utilization + 1e-12);
     }

@@ -9,37 +9,26 @@ use autobraid_router::llg;
 use autobraid_router::path::CxRequest;
 use autobraid_telemetry::{self as telemetry, Rng64};
 
+/// Initial temperature (in objective units).
+const INITIAL_TEMPERATURE: f64 = 2.0;
+/// Geometric cooling factor per iteration.
+const COOLING: f64 = 0.995;
+/// Maximum number of CX layers sampled for the objective.
+const MAX_SAMPLED_LAYERS: usize = 8;
+/// RNG seed (the optimizer is fully deterministic).
+const SEED: u64 = 0xB81D;
+
 /// Annealing parameters. The defaults are tuned so Table 1 regenerates in
 /// seconds; scale `iterations` with available time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnealConfig {
     /// Swap proposals to evaluate.
     pub iterations: usize,
-    /// Initial temperature (in objective units).
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// Maximum number of CX layers sampled for the objective.
-    pub max_sampled_layers: usize,
-    /// RNG seed (the optimizer is fully deterministic).
-    pub seed: u64,
-    /// Independent annealing chains for [`anneal_portfolio`]: each chain
-    /// runs with its own derived seed and the best final objective wins
-    /// (ties break toward the lowest chain index, so the selection is
-    /// deterministic). `1` reproduces [`anneal`] exactly.
-    pub chains: usize,
 }
 
 impl Default for AnnealConfig {
     fn default() -> Self {
-        AnnealConfig {
-            iterations: 600,
-            initial_temperature: 2.0,
-            cooling: 0.995,
-            max_sampled_layers: 8,
-            seed: 0xB81D,
-            chains: 1,
-        }
+        AnnealConfig { iterations: 600 }
     }
 }
 
@@ -325,7 +314,7 @@ pub fn count_oversized_llgs(circuit: &Circuit, placement: &Placement) -> u64 {
 /// let c = ising(9, 2)?;
 /// let grid = Grid::with_capacity_for(9);
 /// let start = Placement::row_major(&grid, 9);
-/// let outcome = anneal(&c, &grid, start, &AnnealConfig { iterations: 100, ..Default::default() });
+/// let outcome = anneal(&c, &grid, start, &AnnealConfig { iterations: 100 });
 /// assert!(outcome.final_objective <= outcome.initial_objective);
 /// # Ok::<(), autobraid_circuit::CircuitError>(())
 /// ```
@@ -340,7 +329,7 @@ pub fn anneal(
         "inconsistent starting placement"
     );
     let _span = telemetry::fine_span("anneal");
-    let layers = sample_layers(circuit, config.max_sampled_layers);
+    let layers = sample_layers(circuit, MAX_SAMPLED_LAYERS);
     let initial_objective = llg_objective(circuit, &layers, &initial);
     let n = circuit.num_qubits();
 
@@ -354,7 +343,7 @@ pub fn anneal(
         };
     }
 
-    let mut rng = Rng64::seed_from_u64(config.seed);
+    let mut rng = Rng64::seed_from_u64(SEED);
     let mut current = initial.clone();
     let mut current_obj = initial_objective;
     // Incremental objective: re-score only the layers a swap touches.
@@ -369,7 +358,7 @@ pub fn anneal(
     );
     let mut best = initial;
     let mut best_obj = initial_objective;
-    let mut temperature = config.initial_temperature;
+    let mut temperature = INITIAL_TEMPERATURE;
     let mut accepted = 0usize;
 
     // Effort auto-scaling: one objective evaluation costs roughly
@@ -437,7 +426,7 @@ pub fn anneal(
                 cache.revert();
             }
         }
-        temperature *= config.cooling;
+        temperature *= COOLING;
     }
 
     // Per-anneal profiling detail: skipped for always-on ambient
@@ -463,96 +452,6 @@ pub fn anneal(
     }
 }
 
-/// The seed of chain `chain` in a portfolio run. Chain 0 keeps the base
-/// seed so a 1-chain portfolio is bit-identical to [`anneal`]; later
-/// chains decorrelate through a splitmix64 finalizer.
-fn chain_seed(base: u64, chain: usize) -> u64 {
-    if chain == 0 {
-        return base;
-    }
-    let mut z = base.wrapping_add((chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Runs [`anneal`] as a seeded multi-chain portfolio: `config.chains`
-/// independent chains (chain 0 uses `config.seed` verbatim) explored
-/// with up to `threads` worker threads, keeping the chain with the best
-/// final objective — ties break toward the lowest chain index, so the
-/// result is a pure function of the config, independent of `threads`
-/// and of scheduling order. With `chains <= 1` this *is* [`anneal`].
-///
-/// Worker threads propagate the caller's telemetry recorder
-/// ([`telemetry::current`]), so chain metrics aggregate into one
-/// snapshot.
-pub fn anneal_portfolio(
-    circuit: &Circuit,
-    grid: &Grid,
-    initial: Placement,
-    config: &AnnealConfig,
-    threads: usize,
-) -> AnnealOutcome {
-    if config.chains <= 1 {
-        return anneal(circuit, grid, initial, config);
-    }
-    let _span = telemetry::fine_span("anneal_portfolio");
-    let chains = config.chains;
-    let mut outcomes: Vec<Option<AnnealOutcome>> = vec![None; chains];
-    if threads <= 1 {
-        for (chain, slot) in outcomes.iter_mut().enumerate() {
-            let chain_config = AnnealConfig {
-                seed: chain_seed(config.seed, chain),
-                chains: 1,
-                ..*config
-            };
-            *slot = Some(anneal(circuit, grid, initial.clone(), &chain_config));
-        }
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let slots: Vec<Mutex<Option<AnnealOutcome>>> =
-            (0..chains).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let recorder = telemetry::current();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(chains) {
-                let recorder = recorder.clone();
-                let (next, slots, initial) = (&next, &slots, &initial);
-                scope.spawn(move || {
-                    let _guard = recorder.map(telemetry::install);
-                    loop {
-                        let chain = next.fetch_add(1, Ordering::Relaxed);
-                        if chain >= chains {
-                            break;
-                        }
-                        let chain_config = AnnealConfig {
-                            seed: chain_seed(config.seed, chain),
-                            chains: 1,
-                            ..*config
-                        };
-                        let outcome = anneal(circuit, grid, initial.clone(), &chain_config);
-                        *slots[chain].lock().expect("chain slot never poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        for (slot, out) in outcomes.iter_mut().zip(slots) {
-            *slot = out.into_inner().expect("chain slot never poisoned");
-        }
-    }
-    telemetry::counter("placement.portfolio.chains", chains as u64);
-    let best = outcomes
-        .into_iter()
-        .map(|o| o.expect("every chain ran"))
-        .enumerate()
-        .min_by_key(|(chain, o)| (o.final_objective, *chain))
-        .map(|(_, o)| o)
-        .expect("chains >= 2");
-    telemetry::counter("placement.portfolio.best_objective", best.final_objective);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,18 +475,10 @@ mod tests {
         let grid = Grid::with_capacity_for(16);
         let mut start = crate::linear::place_along_serpentine(&grid, &(0..16).collect::<Vec<_>>());
         start.swap_qubits(2, 13);
-        let layers = sample_layers(&c, 8);
+        let layers = sample_layers(&c, MAX_SAMPLED_LAYERS);
         let damaged = llg_objective(&c, &layers, &start);
         assert!(damaged > 0, "the perturbation must create oversized LLGs");
-        let out = anneal(
-            &c,
-            &grid,
-            start,
-            &AnnealConfig {
-                iterations: 1500,
-                ..Default::default()
-            },
-        );
+        let out = anneal(&c, &grid, start, &AnnealConfig { iterations: 1500 });
         assert!(
             out.final_objective < out.initial_objective,
             "SA should repair a perturbed chain: {} -> {}",
@@ -615,58 +506,11 @@ mod tests {
     fn deterministic_for_seed() {
         let c = qft(12).unwrap();
         let grid = Grid::with_capacity_for(12);
-        let cfg = AnnealConfig {
-            iterations: 200,
-            ..Default::default()
-        };
+        let cfg = AnnealConfig { iterations: 200 };
         let o1 = anneal(&c, &grid, Placement::row_major(&grid, 12), &cfg);
         let o2 = anneal(&c, &grid, Placement::row_major(&grid, 12), &cfg);
         assert_eq!(o1.placement, o2.placement);
         assert_eq!(o1.final_objective, o2.final_objective);
-    }
-
-    #[test]
-    fn portfolio_with_one_chain_is_anneal() {
-        let c = qft(12).unwrap();
-        let grid = Grid::with_capacity_for(12);
-        let cfg = AnnealConfig {
-            iterations: 150,
-            ..Default::default()
-        };
-        let plain = anneal(&c, &grid, Placement::row_major(&grid, 12), &cfg);
-        let portfolio = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 12), &cfg, 4);
-        assert_eq!(plain, portfolio);
-    }
-
-    #[test]
-    fn portfolio_is_thread_invariant() {
-        let c = qft(14).unwrap();
-        let grid = Grid::with_capacity_for(14);
-        let cfg = AnnealConfig {
-            iterations: 150,
-            chains: 4,
-            ..Default::default()
-        };
-        let serial = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 14), &cfg, 1);
-        let threaded = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 14), &cfg, 3);
-        assert_eq!(serial, threaded);
-    }
-
-    #[test]
-    fn portfolio_never_loses_to_its_first_chain() {
-        let c = qft(16).unwrap();
-        let grid = Grid::with_capacity_for(16);
-        let single = AnnealConfig {
-            iterations: 200,
-            ..Default::default()
-        };
-        let multi = AnnealConfig {
-            chains: 4,
-            ..single
-        };
-        let one = anneal(&c, &grid, Placement::row_major(&grid, 16), &single);
-        let best = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 16), &multi, 2);
-        assert!(best.final_objective <= one.final_objective);
     }
 
     #[test]
@@ -677,31 +521,13 @@ mod tests {
         for circuit in [qft(14).unwrap(), ising(16, 2).unwrap()] {
             let grid = Grid::with_capacity_for(16);
             let n = circuit.num_qubits();
-            let cfg = AnnealConfig {
-                iterations: 300,
-                ..Default::default()
-            };
+            let cfg = AnnealConfig { iterations: 300 };
             let fast = anneal(&circuit, &grid, Placement::row_major(&grid, n), &cfg);
             let was = telemetry::set_reference_mode(true);
             let reference = anneal(&circuit, &grid, Placement::row_major(&grid, n), &cfg);
             telemetry::set_reference_mode(was);
             assert_eq!(fast, reference);
         }
-    }
-
-    #[test]
-    fn chain_seeds_are_distinct_and_stable() {
-        let base = 0xB81D;
-        assert_eq!(chain_seed(base, 0), base);
-        let seeds: Vec<u64> = (0..8).map(|i| chain_seed(base, i)).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(
-            unique.len(),
-            seeds.len(),
-            "derived seeds collide: {seeds:?}"
-        );
     }
 
     #[test]

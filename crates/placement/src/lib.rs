@@ -37,7 +37,7 @@ pub mod linear;
 pub mod partition;
 pub mod place;
 
-pub use annealing::{anneal, anneal_portfolio, AnnealConfig, AnnealOutcome};
+pub use annealing::{anneal, AnnealConfig, AnnealOutcome};
 pub use coupling::CouplingGraph;
 pub use initial::partition_placement;
 pub use linear::linear_placement;

@@ -18,11 +18,6 @@ pub struct SearchLimits {
     /// If set, the path must stay inside or on the boundary of this box
     /// (used to confine LLG-local routing and in theorem tests).
     pub region: Option<BBox>,
-    /// If set, the search aborts (returning `None`) after expanding this
-    /// many vertices. Aborts are reported on the
-    /// `router.astar.limit_hits` telemetry counter, so a capped
-    /// production configuration can see how often it gives up early.
-    pub max_expansions: Option<u32>,
 }
 
 /// Finds a shortest free braiding path from tile `a` to tile `b` with A*.
@@ -129,13 +124,6 @@ pub fn search_in(
 
     let mut expansions = 0u32;
     while let Some((g, idx)) = arena.pop() {
-        if limits.max_expansions.is_some_and(|cap| expansions >= cap) {
-            telemetry::fine_counter("router.astar.limit_hits", 1);
-            telemetry::fine_counter("router.astar.failures", 1);
-            telemetry::fine_observe("router.astar.expansions", f64::from(expansions));
-            record_search(expansions, false);
-            return None;
-        }
         expansions += 1;
         let v = grid.vertex_at(idx as usize);
         if b.has_corner(v) {
@@ -213,13 +201,6 @@ pub fn find_path_reference(
     while let Some(Reverse((_, Reverse(g), idx))) = open.pop() {
         if g > g_cost[idx] {
             continue; // stale entry
-        }
-        if limits.max_expansions.is_some_and(|cap| expansions >= cap) {
-            telemetry::fine_counter("router.astar.limit_hits", 1);
-            telemetry::fine_counter("router.astar.failures", 1);
-            telemetry::fine_observe("router.astar.expansions", f64::from(expansions));
-            record_search(expansions, false);
-            return None;
         }
         expansions += 1;
         let v = grid.vertex_at(idx);
@@ -562,7 +543,6 @@ mod tests {
             Cell::new(1, 5),
             SearchLimits {
                 region: Some(region),
-                ..SearchLimits::default()
             },
         )
         .unwrap();
@@ -574,27 +554,9 @@ mod tests {
             &occ,
             Cell::new(0, 0),
             Cell::new(1, 5),
-            SearchLimits {
-                region: Some(tiny),
-                ..SearchLimits::default()
-            }
+            SearchLimits { region: Some(tiny) }
         )
         .is_none());
-    }
-
-    #[test]
-    fn expansion_cap_aborts_search() {
-        let (g, occ) = setup(8);
-        let capped = SearchLimits {
-            max_expansions: Some(2),
-            ..SearchLimits::default()
-        };
-        assert!(find_path(&g, &occ, Cell::new(0, 0), Cell::new(7, 7), capped).is_none());
-        let generous = SearchLimits {
-            max_expansions: Some(10_000),
-            ..SearchLimits::default()
-        };
-        assert!(find_path(&g, &occ, Cell::new(0, 0), Cell::new(7, 7), generous).is_some());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use astar::{find_path, SearchLimits};
 pub use interference::InterferenceGraph;
 pub use llg::{decompose, Llg};
 pub use path::{BraidPath, CxRequest};
-pub use pathfinder::{route_negotiated, route_negotiated_with, NegotiationStats, PathFinderConfig};
+pub use pathfinder::{route_negotiated, route_negotiated_with, NegotiationStats};
 pub use probe::check_route_outcome;
 pub use stack_finder::{
     route_concurrent, route_greedy, route_stack_flat, RouteOutcome, RoutedGate,

@@ -17,7 +17,7 @@
 //! is single-threaded per layer (the engine's determinism contract in
 //! `docs/RUNTIME.md` holds trivially).
 //!
-//! Knobs, cost model, and the comparison against the stack finder are
+//! Constants, cost model, and the comparison against the stack finder are
 //! documented in `docs/ROUTING.md`; telemetry lands on the
 //! `router.pathfinder.*` metrics of `docs/METRICS.md`.
 
@@ -36,37 +36,22 @@ use std::cmp::Reverse;
 /// per-vertex cost for the heuristic to remain admissible.
 const BASE_COST: u64 = 16;
 
-/// Tuning knobs of the negotiation loop.
-///
-/// The defaults converge within a handful of iterations on every
-/// generator family in the conformance corpus; raise
-/// [`max_iterations`](PathFinderConfig::max_iterations) only for
-/// pathological oversubscribed layers (where the cap-hit serial commit
-/// already guarantees a valid, if partial, outcome).
-#[derive(Debug, Clone, Copy)]
-pub struct PathFinderConfig {
-    /// Upper bound on negotiation iterations before the deterministic
-    /// serial commit takes over.
-    pub max_iterations: u32,
-    /// Cost added per unit of accumulated history on a vertex.
-    pub history_weight: u64,
-    /// Present-congestion factor of the first iteration; each extra
-    /// user of a vertex multiplies its cost by `1 + users * factor`.
-    pub initial_present_factor: u64,
-    /// Ceiling on the present factor as it doubles per iteration.
-    pub max_present_factor: u64,
-}
+/// Upper bound on negotiation iterations before the deterministic
+/// serial commit takes over. The loop converges within a handful of
+/// iterations on every generator family in the conformance corpus; only
+/// pathological oversubscribed layers reach the cap, where the serial
+/// commit still guarantees a valid, if partial, outcome.
+pub const MAX_ITERATIONS: u32 = 24;
 
-impl Default for PathFinderConfig {
-    fn default() -> PathFinderConfig {
-        PathFinderConfig {
-            max_iterations: 24,
-            history_weight: 4,
-            initial_present_factor: 1,
-            max_present_factor: 64,
-        }
-    }
-}
+/// Cost added per unit of accumulated history on a vertex.
+const HISTORY_WEIGHT: u64 = 4;
+
+/// Present-congestion factor of the first iteration; each extra user of
+/// a vertex multiplies its cost by `1 + users * factor`.
+const INITIAL_PRESENT_FACTOR: u64 = 1;
+
+/// Ceiling on the present factor as it doubles per iteration.
+const MAX_PRESENT_FACTOR: u64 = 64;
 
 /// How one negotiation pass went — exposed for convergence tests and
 /// the strategy-duel experiment, not consumed by the schedulers.
@@ -109,16 +94,15 @@ pub fn route_negotiated(
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
 ) -> RouteOutcome {
-    route_negotiated_with(grid, occupancy, requests, &PathFinderConfig::default()).0
+    route_negotiated_with(grid, occupancy, requests).0
 }
 
-/// [`route_negotiated`] with explicit knobs, also returning the
-/// [`NegotiationStats`] of the pass.
+/// [`route_negotiated`], also returning the [`NegotiationStats`] of the
+/// pass.
 pub fn route_negotiated_with(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-    config: &PathFinderConfig,
 ) -> (RouteOutcome, NegotiationStats) {
     let _span = telemetry::fine_span("route_negotiated");
     telemetry::fine_counter("router.pathfinder.requests", requests.len() as u64);
@@ -155,11 +139,11 @@ pub fn route_negotiated_with(
     // Gates proven disconnected under the *base* occupancy alone; the
     // base never changes inside the loop, so never retry them.
     let mut unroutable: Vec<bool> = vec![false; requests.len()];
-    let mut present_factor = config.initial_present_factor;
+    let mut present_factor = INITIAL_PRESENT_FACTOR;
     let mut converged = false;
     let mut iterations = 0u32;
 
-    while iterations < config.max_iterations {
+    while iterations < MAX_ITERATIONS {
         let first_round = iterations == 0;
         iterations += 1;
         let mut rerouted = 0usize;
@@ -190,7 +174,7 @@ pub fn route_negotiated_with(
                 &usage,
                 &history,
                 present_factor,
-                config.history_weight,
+                HISTORY_WEIGHT,
                 requests[i].a,
                 requests[i].b,
             );
@@ -226,7 +210,7 @@ pub fn route_negotiated_with(
                 history[v] += u64::from(u - 1);
             }
         }
-        present_factor = (present_factor * 2).min(config.max_present_factor);
+        present_factor = (present_factor * 2).min(MAX_PRESENT_FACTOR);
     }
 
     telemetry::fine_observe("router.pathfinder.iterations", f64::from(iterations));
@@ -528,7 +512,7 @@ mod tests {
     #[test]
     fn empty_batch_converges_immediately() {
         let (g, mut occ) = setup(3);
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &[], &PathFinderConfig::default());
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &[]);
         assert!(out.is_complete());
         assert_eq!(stats.iterations, 0);
         assert!(stats.converged);
@@ -541,7 +525,7 @@ mod tests {
         let rs: Vec<CxRequest> = (0..6)
             .map(|r| CxRequest::new(r, Cell::new(r as u32, 0), Cell::new(r as u32, 5)))
             .collect();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs);
         assert!(out.is_complete(), "failed: {:?}", out.failed);
         assert!(stats.converged);
         assert_eq!(stats.iterations, 1, "disjoint rows need no negotiation");
@@ -562,7 +546,7 @@ mod tests {
             CxRequest::new(3, Cell::new(1, 5), Cell::new(1, 6)),
             CxRequest::new(4, Cell::new(1, 7), Cell::new(1, 8)),
         ];
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs);
         assert!(out.is_complete(), "failed: {:?}", out.failed);
         assert!(stats.converged, "fig8 must converge within the cap");
         probe(&g, &base, &rs, &out);
@@ -590,9 +574,8 @@ mod tests {
                 id += 1;
             }
         }
-        let cfg = PathFinderConfig::default();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &cfg);
-        assert!(stats.iterations <= cfg.max_iterations);
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs);
+        assert!(stats.iterations <= MAX_ITERATIONS);
         assert!(!out.routed.is_empty(), "some gates must still route");
         assert_eq!(out.routed.len() + out.failed.len(), rs.len());
         probe(&g, &base, &rs, &out);
@@ -606,7 +589,7 @@ mod tests {
         }
         let base = occ.clone();
         let rs = vec![CxRequest::new(0, Cell::new(0, 0), Cell::new(0, 4))];
-        let (out, _) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, _) = route_negotiated_with(&g, &mut occ, &rs);
         assert!(out.is_complete());
         probe(&g, &base, &rs, &out);
     }
@@ -618,7 +601,7 @@ mod tests {
             occ.reserve(&g, v);
         }
         let rs = vec![CxRequest::new(7, Cell::new(0, 0), Cell::new(2, 2))];
-        let (out, _) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, _) = route_negotiated_with(&g, &mut occ, &rs);
         assert_eq!(out.failed, vec![7]);
     }
 
@@ -636,7 +619,7 @@ mod tests {
             CxRequest::new(0, Cell::new(1, 0), Cell::new(1, 4)).with_priority(1),
             CxRequest::new(1, Cell::new(2, 0), Cell::new(2, 4)).with_priority(9),
         ];
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs);
         assert!(
             !stats.converged,
             "a shared mandatory vertex cannot converge"
@@ -654,8 +637,8 @@ mod tests {
             .collect();
         let mut occ1 = occ.clone();
         let mut occ2 = occ.clone();
-        let (a, sa) = route_negotiated_with(&g, &mut occ1, &rs, &PathFinderConfig::default());
-        let (b, sb) = route_negotiated_with(&g, &mut occ2, &rs, &PathFinderConfig::default());
+        let (a, sa) = route_negotiated_with(&g, &mut occ1, &rs);
+        let (b, sb) = route_negotiated_with(&g, &mut occ2, &rs);
         assert_eq!(sa, sb);
         assert_eq!(a.failed, b.failed);
         assert_eq!(a.routed, b.routed);
@@ -682,12 +665,10 @@ mod tests {
                 );
             }
             let mut fast_occ = occ.clone();
-            let (fast, fast_stats) =
-                route_negotiated_with(&g, &mut fast_occ, &rs, &PathFinderConfig::default());
+            let (fast, fast_stats) = route_negotiated_with(&g, &mut fast_occ, &rs);
             let was = autobraid_telemetry::set_reference_mode(true);
             let mut ref_occ = occ.clone();
-            let (reference, ref_stats) =
-                route_negotiated_with(&g, &mut ref_occ, &rs, &PathFinderConfig::default());
+            let (reference, ref_stats) = route_negotiated_with(&g, &mut ref_occ, &rs);
             autobraid_telemetry::set_reference_mode(was);
             assert_eq!(fast_stats, ref_stats);
             assert_eq!(fast.routed, reference.routed);
@@ -706,7 +687,7 @@ mod tests {
         let rs: Vec<CxRequest> = (0..5)
             .map(|r| CxRequest::new(r, Cell::new(4, r as u32), Cell::new(4, (9 - r) as u32)))
             .collect();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs);
         assert!(out.is_complete(), "failed: {:?}", out.failed);
         assert!(stats.converged, "nested band must converge within the cap");
         probe(&g, &base, &rs, &out);

@@ -545,7 +545,6 @@ fn route_small_llg_confined(
 ) -> Option<Vec<RoutedGate>> {
     let limits = SearchLimits {
         region: Some(group.bbox),
-        ..SearchLimits::default()
     };
     for order in &permutations(&group.members) {
         if let Some(paths) = try_route_all(grid, occupancy, requests, order, limits) {

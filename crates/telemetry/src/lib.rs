@@ -28,10 +28,9 @@
 //!   via [`mod@export`] and to a per-step terminal narrative via
 //!   [`mod@explain`]. A [`FanoutRecorder`] captures both in one run.
 //!
-//! The crate also hosts two deterministic utilities the zero-dependency
+//! The crate also hosts a deterministic utility the zero-dependency
 //! build needs: [`Rng64`], a seeded xoshiro256** PRNG used by circuit
-//! generators, annealing, and randomized tests; and [`mod@bench`], a
-//! `std`-only micro-benchmark harness used by the bench targets.
+//! generators, annealing, and randomized tests.
 //!
 //! # Example
 //!
@@ -58,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod explain;
 pub mod export;
 mod flight;

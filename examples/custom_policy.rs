@@ -11,7 +11,7 @@
 
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::report::Table;
-use autobraid::scheduler::{run, GreedyPolicy, RoutePolicy, StackPolicy};
+use autobraid::scheduler::{run, GreedyPolicy, ParallelStackPolicy, RoutePolicy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
@@ -58,7 +58,11 @@ fn main() {
     let config = ScheduleConfig::default().with_recording(Recording::StatsOnly);
     let placement = Placement::row_major(&grid, 64);
 
-    let policies: [&dyn RoutePolicy; 3] = [&StackPolicy, &GreedyPolicy, &LargestFirstPolicy];
+    let policies: [&dyn RoutePolicy; 3] = [
+        &ParallelStackPolicy::new(1),
+        &GreedyPolicy,
+        &LargestFirstPolicy,
+    ];
     let mut table = Table::new(["policy", "braid steps", "cycles", "peak util %"]);
     for policy in policies {
         let (result, _) = run(

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example defect_tolerance`.
 
 use autobraid::config::ScheduleConfig;
-use autobraid::scheduler::{run_with_base_occupancy, ScheduleError, StackPolicy};
+use autobraid::scheduler::{run_with_base_occupancy, ParallelStackPolicy, ScheduleError};
 use autobraid::AutoBraid;
 use autobraid_circuit::generators::qaoa::qaoa;
 use autobraid_lattice::{Grid, Occupancy, Vertex};
@@ -23,7 +23,7 @@ fn main() {
         &circuit,
         &grid,
         placement.clone(),
-        &StackPolicy,
+        &ParallelStackPolicy::new(1),
         true,
         &config,
         &clean_base,
@@ -47,7 +47,7 @@ fn main() {
             &circuit,
             &grid,
             placement.clone(),
-            &StackPolicy,
+            &ParallelStackPolicy::new(1),
             true,
             &config,
             &base,

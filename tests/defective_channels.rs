@@ -3,7 +3,7 @@
 //! or regions reserved for magic-state distillation factories).
 
 use autobraid::config::ScheduleConfig;
-use autobraid::scheduler::{run_with_base_occupancy, ScheduleError, StackPolicy};
+use autobraid::scheduler::{run_with_base_occupancy, ParallelStackPolicy, ScheduleError};
 use autobraid::{critical_path_cycles, Step};
 use autobraid_circuit::generators::{ising::ising, qft::qft};
 use autobraid_circuit::Circuit;
@@ -32,7 +32,7 @@ fn schedules_around_scattered_defects() {
         &circuit,
         &grid,
         placement,
-        &StackPolicy,
+        &ParallelStackPolicy::new(1),
         false,
         &config,
         &base,
@@ -66,7 +66,7 @@ fn defects_degrade_but_do_not_break_ising() {
         &circuit,
         &grid,
         placement.clone(),
-        &StackPolicy,
+        &ParallelStackPolicy::new(1),
         false,
         &config,
         &clean_base,
@@ -79,7 +79,7 @@ fn defects_degrade_but_do_not_break_ising() {
         &circuit,
         &grid,
         placement,
-        &StackPolicy,
+        &ParallelStackPolicy::new(1),
         false,
         &config,
         &broken_base,
@@ -110,7 +110,7 @@ fn fully_walled_qubit_reports_unroutable() {
         &circuit,
         &grid,
         placement,
-        &StackPolicy,
+        &ParallelStackPolicy::new(1),
         false,
         &config,
         &base,
@@ -138,7 +138,7 @@ fn reserved_distillation_region_is_respected() {
         &circuit,
         &grid,
         placement,
-        &StackPolicy,
+        &ParallelStackPolicy::new(1),
         true,
         &config,
         &base,

@@ -90,7 +90,6 @@ fn region_constrained_search() {
             });
         let limits = SearchLimits {
             region: Some(region),
-            ..SearchLimits::default()
         };
         if let Some(p) = find_path(&grid, &occ, a, b, limits) {
             assert!(p.confined_to(&region));
