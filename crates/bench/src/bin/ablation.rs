@@ -8,7 +8,7 @@
 
 use autobraid::async_engine::schedule_async;
 use autobraid::config::ScheduleConfig;
-use autobraid::maslov::schedule_maslov;
+use autobraid::maslov::schedule_maslov_with_dag;
 use autobraid::report::Table;
 use autobraid::scheduler::{run, GreedyPolicy, ParallelStackPolicy, RoutePolicy};
 use autobraid::AutoBraid;
@@ -164,7 +164,7 @@ fn main() {
         );
 
         // Maslov swap network.
-        let (maslov, _) = schedule_maslov(circuit, &config);
+        let (maslov, _) = schedule_maslov_with_dag(circuit, &config, &config.dag(circuit));
         table.add_row([
             "maslov swap network".to_string(),
             maslov.braid_steps.to_string(),

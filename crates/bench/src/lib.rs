@@ -17,7 +17,7 @@
 
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::{schedule_async, schedule_baseline, AutoBraid, ScheduleResult};
+use autobraid::{schedule_async, schedule_baseline, AutoBraid, ScheduleResult, Strategy};
 use autobraid_circuit::{generators, Circuit, CircuitError};
 use autobraid_lattice::Grid;
 use autobraid_lattice::{CodeParams, TimingModel};
@@ -142,8 +142,9 @@ impl Comparison {
     pub fn run(circuit: &Circuit, config: &ScheduleConfig) -> Self {
         let compiler = AutoBraid::new(config.clone());
         let (baseline, _) = schedule_baseline(circuit, config);
-        let sp = compiler.schedule_sp(circuit).result;
-        let full = compiler.schedule_full(circuit).result;
+        let dag = config.dag(circuit);
+        let sp = compiler.schedule(Strategy::Stack, circuit, &dag).result;
+        let full = compiler.schedule(Strategy::Full, circuit, &dag).result;
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = compiler.initial_placement(circuit, &grid);
         let asynchronous = schedule_async(circuit, &grid, placement, config).result;

@@ -181,7 +181,7 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
         }
     }
 
-    // `schedule_full` takes the best of a candidate set that includes the
+    // autobraid-full takes the best of a candidate set that includes the
     // plain stack run, so Full can never lose to Stack under identical
     // options.
     for optimize in [false, true] {

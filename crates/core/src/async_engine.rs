@@ -64,11 +64,7 @@ pub fn schedule_async(
     config: &ScheduleConfig,
 ) -> AsyncSchedule {
     let started = Instant::now();
-    let dag = if config.commutation_aware {
-        DependenceDag::with_commutation(circuit)
-    } else {
-        DependenceDag::new(circuit)
-    };
+    let dag = config.dag(circuit);
     let d_cycles = u64::from(config.timing.params().distance());
 
     // Slots a gate occupies.
@@ -292,7 +288,7 @@ pub fn verify_async(circuit: &Circuit, schedule: &AsyncSchedule) -> Result<(), S
 mod tests {
     use super::*;
     use crate::critical_path::critical_path_cycles;
-    use crate::AutoBraid;
+    use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{self, random::random_circuit};
 
     fn run_async(circuit: &Circuit) -> AsyncSchedule {
@@ -325,7 +321,10 @@ mod tests {
         let compiler = AutoBraid::new(config.clone());
         for seed in 0..4 {
             let circuit = random_circuit(10, 250, 0.5, seed).unwrap();
-            let sync = compiler.schedule_sp(&circuit).result.total_cycles;
+            let sync = compiler
+                .schedule(Strategy::Stack, &circuit, &compiler.config().dag(&circuit))
+                .result
+                .total_cycles;
             let schedule = run_async(&circuit);
             let cp = critical_path_cycles(&circuit, schedule.result.timing());
             assert!(schedule.result.total_cycles >= cp, "seed {seed}: below CP");

@@ -9,12 +9,12 @@
 //!   Maslov's linear-depth specialization for all-to-all patterns (the
 //!   better of the two is kept, as in §3.3.2).
 
+use crate::baseline::schedule_baseline;
 use crate::config::ScheduleConfig;
 use crate::maslov::schedule_maslov_with_dag;
 use crate::metrics::ScheduleResult;
-use crate::scheduler::{
-    drive, run, Drive, ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy,
-};
+use crate::scheduler::{drive, policy_for, run_with_dag, Drive, ParallelStackPolicy};
+use crate::strategy::Strategy;
 use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::{
@@ -29,11 +29,13 @@ use autobraid_telemetry as telemetry;
 /// ```
 /// use autobraid::AutoBraid;
 /// use autobraid::config::ScheduleConfig;
+/// use autobraid::strategy::Strategy;
 /// use autobraid_circuit::generators::ising::ising;
 ///
 /// let compiler = AutoBraid::new(ScheduleConfig::default());
 /// let circuit = ising(16, 2)?;
-/// let outcome = compiler.schedule_full(&circuit);
+/// let dag = compiler.config().dag(&circuit);
+/// let outcome = compiler.schedule(Strategy::Full, &circuit, &dag);
 /// assert!(outcome.result.total_cycles > 0);
 /// # Ok::<(), autobraid_circuit::CircuitError>(())
 /// ```
@@ -85,62 +87,51 @@ impl AutoBraid {
         }
     }
 
-    /// Schedules with the stack-based path finder only (no dynamic
-    /// placement) — the paper's **autobraid-sp**.
-    pub fn schedule_sp(&self, circuit: &Circuit) -> ScheduleOutcome {
-        self.schedule_with_policy(
-            "autobraid-sp",
-            &ParallelStackPolicy::new(self.config.effective_threads()),
-            circuit,
-        )
-    }
-
-    /// Schedules with the negotiated-congestion PathFinder router
-    /// ([`autobraid_router::pathfinder`]) over the same LLG-optimized
-    /// initial placement as [`schedule_sp`](AutoBraid::schedule_sp) —
-    /// the rival of the paper's stack finder, no dynamic placement.
-    pub fn schedule_pathfinder(&self, circuit: &Circuit) -> ScheduleOutcome {
-        self.schedule_with_policy("pathfinder", &PathFinderPolicy, circuit)
-    }
-
-    /// Schedules with the per-layer strategy portfolio
-    /// ([`PortfolioPolicy`]): each braiding layer is routed by whichever
-    /// of the stack finder and PathFinder the layer's features favour,
-    /// racing both where the chooser is uncertain. Per-layer picks are
-    /// recorded in [`ScheduleResult::layer_policies`].
-    pub fn schedule_portfolio(&self, circuit: &Circuit) -> ScheduleOutcome {
-        self.schedule_with_policy(
-            "portfolio",
-            &PortfolioPolicy::new(self.config.effective_threads()),
-            circuit,
-        )
-    }
-
-    /// The shared single-policy engine drive behind `schedule_sp`,
-    /// `schedule_pathfinder`, and `schedule_portfolio`: LLG-optimized
-    /// initial placement, no layout optimizer.
-    fn schedule_with_policy(
+    /// Schedules `circuit` with `strategy` — the one strategy dispatch
+    /// behind [`crate::pipeline::Pipeline`] and every direct caller.
+    /// `dag` must come from [`ScheduleConfig::dag`] on this compiler's
+    /// config; it is shared by every candidate autobraid-full races and
+    /// is reusable for verification.
+    ///
+    /// * autobraid-sp, pathfinder and portfolio drive the engine with
+    ///   [`policy_for`] over the LLG-optimized initial placement, with no
+    ///   dynamic placement.
+    /// * autobraid-full adds dynamic qubit placement and keeps the best
+    ///   of its candidate schedules (§3.3.2).
+    /// * baseline and maslov bypass the initial placement with their own
+    ///   fixed layouts.
+    pub fn schedule(
         &self,
-        name: &str,
-        policy: &dyn RoutePolicy,
+        strategy: Strategy,
         circuit: &Circuit,
+        dag: &DependenceDag,
     ) -> ScheduleOutcome {
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-        let placement = self.initial_placement(circuit, &grid);
-        let (mut result, _) = run(
-            name,
-            circuit,
-            &grid,
-            placement.clone(),
-            policy,
-            false,
-            &self.config,
-        );
-        result.scheduler = name.into();
+        let (result, initial_placement) = match strategy {
+            Strategy::Full => self.race_full(circuit, dag, &grid),
+            Strategy::Stack | Strategy::PathFinder | Strategy::Portfolio => {
+                let placement = self.initial_placement(circuit, &grid);
+                let policy = policy_for(strategy, self.config.effective_threads())
+                    .expect("engine strategies have a route policy");
+                let (result, _) = run_with_dag(
+                    strategy.name(),
+                    circuit,
+                    &grid,
+                    placement.clone(),
+                    &*policy,
+                    false,
+                    &self.config,
+                    dag,
+                );
+                (result, placement)
+            }
+            Strategy::Baseline => schedule_baseline(circuit, &self.config),
+            Strategy::Maslov => schedule_maslov_with_dag(circuit, &self.config, dag),
+        };
         ScheduleOutcome {
             result,
             grid,
-            initial_placement: placement,
+            initial_placement,
         }
     }
 
@@ -151,34 +142,22 @@ impl AutoBraid {
     /// paper sweeps `p` and "chooses the best one among all"), and, for
     /// all-to-all communication patterns, Maslov's swap-network schedule.
     /// An engine candidate is cut short once it can no longer be the one
-    /// kept, which never changes the pick.
-    pub fn schedule_full(&self, circuit: &Circuit) -> ScheduleOutcome {
-        let dag = if self.config.commutation_aware {
-            DependenceDag::with_commutation(circuit)
-        } else {
-            DependenceDag::new(circuit)
-        };
-        self.schedule_full_with_dag(circuit, &dag)
-    }
-
-    /// [`Self::schedule_full`] against a caller-supplied dependence DAG,
-    /// shared across the candidate strategies (and reusable for
-    /// verification). `dag` must have been built from `circuit`
-    /// consistently with `config.commutation_aware`.
-    pub fn schedule_full_with_dag(
+    /// kept, which never changes the pick. Returns the kept schedule and
+    /// its initial placement.
+    fn race_full(
         &self,
         circuit: &Circuit,
         dag: &DependenceDag,
-    ) -> ScheduleOutcome {
-        let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-        let placement = self.initial_placement(circuit, &grid);
+        grid: &Grid,
+    ) -> (ScheduleResult, Placement) {
+        let placement = self.initial_placement(circuit, grid);
         let policy = ParallelStackPolicy::new(self.config.effective_threads());
-        let base = Occupancy::new(&grid);
+        let base = Occupancy::new(grid);
         let engine = |optimizer: bool, budget: Option<u64>| {
             drive(
                 "autobraid-full",
                 circuit,
-                &grid,
+                grid,
                 placement.clone(),
                 &policy,
                 optimizer,
@@ -188,11 +167,6 @@ impl AutoBraid {
                 budget,
             )
             .expect("an empty base occupancy never makes a gate unroutable")
-        };
-        let engine_outcome = |result: ScheduleResult| ScheduleOutcome {
-            result,
-            grid: grid.clone(),
-            initial_placement: placement.clone(),
         };
 
         // The candidate race. Selection is: take `full` (optimizer at
@@ -260,20 +234,16 @@ impl AutoBraid {
             (None, sp) => sp,
         };
 
-        let mut outcome = match (engine_pick, maslov) {
+        let (mut result, initial_placement) = match (engine_pick, maslov) {
             (Some(pick), Some((maslov, _))) if maslov.total_cycles >= pick.total_cycles => {
-                engine_outcome(pick)
+                (pick, placement)
             }
-            (Some(pick), None) => engine_outcome(pick),
-            (_, Some((result, maslov_initial))) => ScheduleOutcome {
-                grid: grid.clone(),
-                result,
-                initial_placement: maslov_initial,
-            },
+            (Some(pick), None) => (pick, placement),
+            (_, Some(maslov)) => maslov,
             (None, None) => unreachable!("only the Maslov budget can prune `full`"),
         };
-        outcome.result.scheduler = "autobraid-full".into();
-        outcome
+        result.scheduler = "autobraid-full".into();
+        (result, initial_placement)
     }
 }
 
@@ -299,7 +269,6 @@ fn is_all_to_all(circuit: &Circuit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::schedule_baseline;
     use crate::critical_path::critical_path_cycles;
     use crate::metrics::verify_schedule;
     use autobraid_circuit::generators::{
@@ -308,9 +277,10 @@ mod tests {
 
     fn check(circuit: &Circuit) -> (ScheduleResult, ScheduleResult) {
         let compiler = AutoBraid::new(ScheduleConfig::default());
-        let sp = compiler.schedule_sp(circuit);
+        let dag = compiler.config().dag(circuit);
+        let sp = compiler.schedule(Strategy::Stack, circuit, &dag);
         verify_schedule(circuit, &sp.grid, &sp.initial_placement, &sp.result).unwrap();
-        let full = compiler.schedule_full(circuit);
+        let full = compiler.schedule(Strategy::Full, circuit, &dag);
         verify_schedule(circuit, &full.grid, &full.initial_placement, &full.result).unwrap();
         (sp.result, full.result)
     }
@@ -376,8 +346,9 @@ mod tests {
     fn results_are_deterministic() {
         let c = qft(15).unwrap();
         let compiler = AutoBraid::new(ScheduleConfig::default());
-        let a = compiler.schedule_full(&c);
-        let b = compiler.schedule_full(&c);
+        let dag = compiler.config().dag(&c);
+        let a = compiler.schedule(Strategy::Full, &c, &dag);
+        let b = compiler.schedule(Strategy::Full, &c, &dag);
         assert_eq!(a.result.total_cycles, b.result.total_cycles);
         assert_eq!(a.result.braid_steps, b.result.braid_steps);
     }

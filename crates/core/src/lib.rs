@@ -9,12 +9,13 @@
 //! paths* routed through the channels of a tile grid; simultaneous paths
 //! must be vertex-disjoint. This crate schedules those paths:
 //!
-//! * [`autobraid::AutoBraid`] — the paper's scheduler, in its
-//!   `schedule_sp` (stack-based path finder) and `schedule_full`
-//!   (+ dynamic qubit placement) configurations;
+//! * [`autobraid::AutoBraid`] — the paper's scheduler; its one entry
+//!   point [`AutoBraid::schedule`] runs any registry [`Strategy`],
+//!   including the paper's autobraid-sp (stack-based path finder) and
+//!   autobraid-full (+ dynamic qubit placement) configurations;
 //! * [`baseline::schedule_baseline`] — the greedy "GP w. initM"
 //!   comparison point of Javadi-Abhari et al.;
-//! * [`maslov::schedule_maslov`] — the linear-depth swap-network
+//! * [`maslov::schedule_maslov_with_dag`] — the linear-depth swap-network
 //!   specialization for all-to-all patterns;
 //! * [`critical_path`] — the ideal lower bound ("CP");
 //! * [`metrics::verify_schedule`] — exhaustive schedule validation;
@@ -39,13 +40,14 @@
 //! # Quick example
 //!
 //! ```
-//! use autobraid::{AutoBraid, config::ScheduleConfig};
+//! use autobraid::{AutoBraid, Strategy, config::ScheduleConfig};
 //! use autobraid::critical_path::critical_path_cycles;
 //! use autobraid_circuit::generators::ising::ising;
 //!
 //! let circuit = ising(16, 2)?;
 //! let compiler = AutoBraid::new(ScheduleConfig::default());
-//! let outcome = compiler.schedule_full(&circuit);
+//! let dag = compiler.config().dag(&circuit);
+//! let outcome = compiler.schedule(Strategy::Full, &circuit, &dag);
 //! // The Ising model schedules at exactly the critical path (Table 2).
 //! let cp = critical_path_cycles(&circuit, outcome.result.timing());
 //! assert_eq!(outcome.result.total_cycles, cp);

@@ -20,8 +20,10 @@ use autobraid_router::CxRequest;
 use std::time::Instant;
 
 /// Schedules `circuit` with the Maslov swap-network strategy on the
-/// smallest square grid. Returns the result and the *initial* placement
-/// (the serpentine identity order).
+/// smallest square grid, against a caller-supplied dependence DAG so one
+/// DAG build can be shared with the other strategies autobraid-full
+/// races. `dag` must come from [`ScheduleConfig::dag`]. Returns the
+/// result and the *initial* placement (the serpentine identity order).
 ///
 /// Each iteration executes every ready CX whose operands are currently
 /// adjacent on the serpentine line (plus ready local gates); when no ready
@@ -29,19 +31,6 @@ use std::time::Instant;
 /// the network. Termination follows from the brick-wall property: within
 /// `n` transposition layers every pair of line positions has been
 /// adjacent, so the dependence frontier always progresses.
-pub fn schedule_maslov(circuit: &Circuit, config: &ScheduleConfig) -> (ScheduleResult, Placement) {
-    let dag = if config.commutation_aware {
-        DependenceDag::with_commutation(circuit)
-    } else {
-        DependenceDag::new(circuit)
-    };
-    schedule_maslov_with_dag(circuit, config, &dag)
-}
-
-/// [`schedule_maslov`] against a caller-supplied dependence DAG, so one
-/// DAG build can be shared with the other strategies `schedule_full`
-/// races. `dag` must have been built from `circuit` consistently with
-/// `config.commutation_aware`.
 pub fn schedule_maslov_with_dag(
     circuit: &Circuit,
     config: &ScheduleConfig,
@@ -299,20 +288,24 @@ mod tests {
     use crate::metrics::verify_schedule;
     use autobraid_circuit::generators::qft::qft;
 
+    fn maslov(circuit: &Circuit, config: &ScheduleConfig) -> (ScheduleResult, Placement) {
+        schedule_maslov_with_dag(circuit, config, &config.dag(circuit))
+    }
+
     #[test]
     fn qft_schedule_verifies() {
         let circuit = qft(12).unwrap();
         let config = ScheduleConfig::default();
         let grid = Grid::with_capacity_for(12);
-        let (result, initial) = schedule_maslov(&circuit, &config);
+        let (result, initial) = maslov(&circuit, &config);
         verify_schedule(&circuit, &grid, &initial, &result).unwrap();
     }
 
     #[test]
     fn qft_braid_steps_scale_linearly() {
         let config = ScheduleConfig::default();
-        let (r16, _) = schedule_maslov(&qft(16).unwrap(), &config);
-        let (r32, _) = schedule_maslov(&qft(32).unwrap(), &config);
+        let (r16, _) = maslov(&qft(16).unwrap(), &config);
+        let (r32, _) = maslov(&qft(32).unwrap(), &config);
         // QFT-n has Θ(n²) gates; the Maslov schedule must stay near-linear
         // in n (each doubling roughly doubles, not quadruples, the steps).
         let ratio = r32.total_cycles as f64 / r16.total_cycles as f64;
@@ -326,7 +319,7 @@ mod tests {
     fn serial_circuit_needs_no_swaps_when_adjacent() {
         let mut c = Circuit::new(4);
         c.cx(0, 1).cx(1, 2).cx(2, 3);
-        let (r, _) = schedule_maslov(&c, &ScheduleConfig::default());
+        let (r, _) = maslov(&c, &ScheduleConfig::default());
         assert_eq!(r.swap_layers, 0, "chain on the line is already adjacent");
         assert_eq!(r.braid_steps, 3);
     }
@@ -335,7 +328,7 @@ mod tests {
     fn distant_pair_triggers_swaps() {
         let mut c = Circuit::new(9);
         c.cx(0, 8);
-        let (r, _) = schedule_maslov(&c, &ScheduleConfig::default());
+        let (r, _) = maslov(&c, &ScheduleConfig::default());
         assert!(r.swap_layers > 0);
         assert_eq!(r.braid_steps, 1);
     }

@@ -9,12 +9,10 @@
 //! determinism contract are documented in `docs/RUNTIME.md`.
 
 use crate::autobraid::ScheduleOutcome;
-use crate::baseline::schedule_baseline;
 use crate::config::{Recording, ScheduleConfig};
 use crate::metrics::verify_schedule_with_dag;
 use crate::AutoBraid;
-use autobraid_circuit::{qasm, Circuit, CircuitError, CircuitStats, DependenceDag};
-use autobraid_lattice::Grid;
+use autobraid_circuit::{qasm, Circuit, CircuitError, CircuitStats};
 use autobraid_telemetry::{
     self as telemetry, FanoutRecorder, MemoryRecorder, Recorder, TelemetrySnapshot, Trace,
     TraceRecorder,
@@ -55,7 +53,7 @@ pub struct CompileOptions {
     /// Collect an event-level [`Trace`] per compile (default `false`).
     /// The `autobraid.trace/v1` event schema is documented in
     /// `docs/METRICS.md`; export with [`Trace::to_chrome_json`] and
-    /// replay with [`crate::render::explain_trace`].
+    /// replay with [`autobraid_telemetry::explain::explain_trace`].
     pub trace: bool,
     /// Thread budget (default 1 — fully serial). A single
     /// [`Pipeline::compile`] spends it inside the compile (parallel LLG
@@ -318,38 +316,10 @@ impl Pipeline {
         let started = Instant::now();
         let schedule_span = telemetry::span("schedule");
         let compiler = AutoBraid::new(config.clone());
-        // One dependence DAG serves every strategy `schedule_full` races
+        // One dependence DAG serves every candidate the strategy races
         // *and* the post-schedule verification below.
-        let dag = if config.commutation_aware {
-            DependenceDag::with_commutation(&circuit)
-        } else {
-            DependenceDag::new(&circuit)
-        };
-        let outcome = match self.options.strategy {
-            Strategy::Full => compiler.schedule_full_with_dag(&circuit, &dag),
-            Strategy::Stack => compiler.schedule_sp(&circuit),
-            Strategy::PathFinder => compiler.schedule_pathfinder(&circuit),
-            Strategy::Portfolio => compiler.schedule_portfolio(&circuit),
-            Strategy::Baseline => {
-                let (result, placement) = schedule_baseline(&circuit, &config);
-                let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-                ScheduleOutcome {
-                    result,
-                    grid,
-                    initial_placement: placement,
-                }
-            }
-            Strategy::Maslov => {
-                let (result, placement) =
-                    crate::maslov::schedule_maslov_with_dag(&circuit, &config, &dag);
-                let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-                ScheduleOutcome {
-                    result,
-                    grid,
-                    initial_placement: placement,
-                }
-            }
-        };
+        let dag = config.dag(&circuit);
+        let outcome = compiler.schedule(self.options.strategy, &circuit, &dag);
         drop(schedule_span);
         timings.schedule_seconds = started.elapsed().as_secs_f64();
 
@@ -504,12 +474,7 @@ mod tests {
     #[test]
     fn strategy_names_match_report_schedulers() {
         let c = qft(8).unwrap();
-        for strategy in [
-            Strategy::Full,
-            Strategy::Stack,
-            Strategy::PathFinder,
-            Strategy::Portfolio,
-        ] {
+        for strategy in Strategy::ALL {
             let report = Pipeline::new()
                 .with_options(CompileOptions {
                     strategy,

@@ -382,8 +382,7 @@ pub fn run(
 
 /// [`run`] against a caller-supplied dependence DAG, so one DAG build can
 /// be shared across several engine drives (and the verifier) of the same
-/// circuit. `dag` must have been built from `circuit` consistently with
-/// `config.commutation_aware`.
+/// circuit. `dag` must come from [`ScheduleConfig::dag`] on `circuit`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_dag(
     scheduler_name: &str,
@@ -432,11 +431,7 @@ pub fn run_with_base_occupancy(
     config: &ScheduleConfig,
     base: &Occupancy,
 ) -> Result<(ScheduleResult, Placement), ScheduleError> {
-    let dag = if config.commutation_aware {
-        DependenceDag::with_commutation(circuit)
-    } else {
-        DependenceDag::new(circuit)
-    };
+    let dag = config.dag(circuit);
     drive(
         scheduler_name,
         circuit,

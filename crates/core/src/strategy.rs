@@ -6,14 +6,14 @@
 //! sites. They now all derive from [`REGISTRY`], a single const table
 //! of [`StrategyInfo`] descriptors: [`Strategy::ALL`] is its projection,
 //! [`Strategy::name`] reads it, [`Strategy::from_name`] inverts it, and
-//! capability flags ([`StrategyInfo::supports_defects`],
-//! [`StrategyInfo::deterministic`]) let sweeps like the conformance
-//! oracle select applicable strategies instead of hand-listing them.
+//! the capability flag [`StrategyInfo::supports_defects`] lets sweeps
+//! like the conformance oracle select applicable strategies instead of
+//! hand-listing them.
 //!
-//! Adding a strategy is: add the variant, add one `StrategyInfo` row,
-//! and give the pipeline a scheduler arm — everything else (oracle
-//! sweep, `--strategy` parsing, service wire format, report naming)
-//! picks it up from the table.
+//! Adding a strategy is one variant, one `REGISTRY` row, and one arm in
+//! [`crate::AutoBraid::schedule`], the only strategy dispatch —
+//! everything else (oracle sweep, `--strategy` parsing, service wire
+//! format, report naming) picks it up from the table.
 
 /// Which scheduler the pipeline drives.
 ///
@@ -89,13 +89,7 @@ impl Strategy {
     /// Every registry name, in [`Strategy::ALL`] order — for error
     /// messages listing the valid spellings.
     pub fn names() -> [&'static str; REGISTRY.len()] {
-        let mut names = [""; REGISTRY.len()];
-        let mut i = 0;
-        while i < REGISTRY.len() {
-            names[i] = REGISTRY[i].name;
-            i += 1;
-        }
-        names
+        REGISTRY.map(|info| info.name)
     }
 }
 
@@ -106,18 +100,11 @@ pub struct StrategyInfo {
     pub strategy: Strategy,
     /// Stable external name (reports, CLI, service wire format).
     pub name: &'static str,
-    /// One-line description for `--help`-style listings.
-    pub summary: &'static str,
     /// Whether the strategy can schedule on a lattice with defective
     /// channel vertices (a pre-seeded base occupancy). Strategies that
     /// bypass the braiding engine (swap networks, the distance-ordered
     /// baseline's fixed grid) cannot.
     pub supports_defects: bool,
-    /// Whether compile outputs are bit-identical across runs and thread
-    /// counts (the `docs/RUNTIME.md` contract). Every built-in strategy
-    /// is deterministic; the flag exists so a future randomized
-    /// strategy can be excluded from byte-equality sweeps.
-    pub deterministic: bool,
 }
 
 /// The single source of truth every strategy-keyed surface derives
@@ -127,44 +114,32 @@ pub const REGISTRY: [StrategyInfo; 6] = [
     StrategyInfo {
         strategy: Strategy::Full,
         name: "autobraid-full",
-        summary: "stack finder + dynamic placement (paper's best)",
         supports_defects: true,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Stack,
         name: "autobraid-sp",
-        summary: "stack-based path finder only",
         supports_defects: true,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Baseline,
         name: "baseline",
-        summary: "greedy shortest-first comparison baseline",
         supports_defects: false,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Maslov,
         name: "maslov",
-        summary: "linear-depth swap network for all-to-all patterns",
         supports_defects: false,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::PathFinder,
         name: "pathfinder",
-        summary: "negotiated-congestion rip-up-and-reroute routing",
         supports_defects: true,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Portfolio,
         name: "portfolio",
-        summary: "per-layer chooser between stack finder and PathFinder",
         supports_defects: true,
-        deterministic: true,
     },
 ];
 
@@ -204,6 +179,5 @@ mod tests {
         assert!(Strategy::Portfolio.info().supports_defects);
         assert!(!Strategy::Baseline.info().supports_defects);
         assert!(!Strategy::Maslov.info().supports_defects);
-        assert!(Strategy::ALL.iter().all(|s| s.info().deterministic));
     }
 }

@@ -381,22 +381,11 @@ impl std::fmt::Debug for StreamingPipeline {
 
 impl StreamingPipeline {
     /// Opens a stream for up to `num_qubits` qubits with the default
-    /// [`ScheduleConfig`].
+    /// [`ScheduleConfig`] and [`StreamingOptions::threads`] workers. The
+    /// layout optimizer never runs online, and the dependence DAG is
+    /// always the plain shared-qubit one.
     pub fn open(num_qubits: u32, options: StreamingOptions) -> Self {
-        Self::open_with_config(num_qubits, options, ScheduleConfig::default())
-    }
-
-    /// Opens a stream with an explicit engine configuration (timing
-    /// model, recording mode). `config.threads` is overridden by
-    /// [`StreamingOptions::threads`]. The layout optimizer never runs
-    /// online, and the dependence DAG is always the plain shared-qubit
-    /// one.
-    pub fn open_with_config(
-        num_qubits: u32,
-        options: StreamingOptions,
-        config: ScheduleConfig,
-    ) -> Self {
-        let config = config.with_threads(options.threads.max(1));
+        let config = ScheduleConfig::default().with_threads(options.threads.max(1));
         let grid = Grid::with_capacity_for(num_qubits.max(2) as usize);
         let placement = Placement::row_major(&grid, num_qubits);
         // Every registry strategy streams: strategies without an online

@@ -22,6 +22,50 @@ pub const PROTOCOL: &str = "autobraid.service/v1";
 /// memory.
 pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// The largest qubit register the service accepts, on `session.open`
+/// and in a compile's parsed circuit. Placement and the dependence DAG
+/// allocate per qubit, so an unchecked count from one frame could
+/// exhaust memory, which aborts the whole process rather than failing
+/// the request. The paper's largest register holds 1000 qubits.
+pub const MAX_QUBITS: u32 = 65_536;
+
+/// Rejects a register of `qubits` above [`MAX_QUBITS`] with a typed
+/// [`ErrorKind::Protocol`] error naming `what` carried it.
+pub(crate) fn check_register(qubits: u64, what: &str) -> Result<u32, ServiceError> {
+    match u32::try_from(qubits) {
+        Ok(n) if n <= MAX_QUBITS => Ok(n),
+        _ => Err(ServiceError::new(
+            ErrorKind::Protocol,
+            format!("{what} has {qubits} qubits; the service accepts at most {MAX_QUBITS}"),
+        )),
+    }
+}
+
+/// An optional wire `strategy` name parsed against the registry.
+fn strategy_from_wire(value: Option<&JsonValue>) -> Result<Option<Strategy>, ServiceError> {
+    value
+        .and_then(JsonValue::as_str)
+        .map(|name| {
+            Strategy::from_name(name).ok_or_else(|| {
+                let valid = Strategy::names().join(", ");
+                let detail = format!("unknown strategy `{name}` (valid: {valid})");
+                ServiceError::new(ErrorKind::Protocol, detail)
+            })
+        })
+        .transpose()
+}
+
+/// A wire integer narrowed to `u32`: rejected with a typed
+/// [`ErrorKind::Protocol`] error naming `field`, never truncated.
+fn wire_u32(value: u64, field: &str) -> Result<u32, ServiceError> {
+    u32::try_from(value).map_err(|_| {
+        ServiceError::new(
+            ErrorKind::Protocol,
+            format!("`{field}` is {value}, above 2^32 - 1"),
+        )
+    })
+}
+
 /// Writes one frame: length prefix, then the payload bytes.
 ///
 /// # Errors
@@ -584,9 +628,13 @@ pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
     let qubits: Vec<u32> = match doc.get("qubits") {
         Some(JsonValue::Array(items)) => items
             .iter()
-            .map(|q| q.as_u64().map(|q| q as u32))
-            .collect::<Option<Vec<u32>>>()
-            .ok_or_else(|| proto_err("gate `qubits` must be non-negative integers".to_string()))?,
+            .map(|q| {
+                let q = q.as_u64().ok_or_else(|| {
+                    proto_err("gate `qubits` must be non-negative integers".to_string())
+                })?;
+                wire_u32(q, "qubits")
+            })
+            .collect::<Result<Vec<u32>, _>>()?,
         _ => return Err(proto_err("gate missing `qubits` array".to_string())),
     };
     let angle = doc.get("angle").and_then(JsonValue::as_f64);
@@ -661,8 +709,8 @@ pub fn fault_from_json(doc: &JsonValue) -> Result<FaultEvent, ServiceError> {
     };
     match doc.get("fault").and_then(JsonValue::as_str) {
         Some("tile-failure") => Ok(FaultEvent::TileFailure {
-            row: field("row")? as u32,
-            col: field("col")? as u32,
+            row: wire_u32(field("row")?, "row")?,
+            col: wire_u32(field("col")?, "col")?,
         }),
         Some("magic-stall") => Ok(FaultEvent::MagicStall {
             steps: field("steps")?,
@@ -736,15 +784,7 @@ impl Request {
                 };
                 let options = doc.get("options");
                 let opt_bool = |key: &str| options.and_then(|o| o.get(key)?.as_bool());
-                let strategy = match options.and_then(|o| o.get("strategy")?.as_str()) {
-                    None => None,
-                    Some(name) => Some(Strategy::from_name(name).ok_or_else(|| {
-                        proto_err(format!(
-                            "unknown strategy `{name}` (valid: {})",
-                            Strategy::names().join(", ")
-                        ))
-                    })?),
-                };
+                let strategy = strategy_from_wire(options.and_then(|o| o.get("strategy")))?;
                 Ok(Request::Compile(Box::new(CompileRequest {
                     format,
                     source,
@@ -760,7 +800,8 @@ impl Request {
                     distance: doc
                         .get("distance")
                         .and_then(JsonValue::as_u64)
-                        .map(|d| d as u32),
+                        .map(|d| wire_u32(d, "distance"))
+                        .transpose()?,
                     timeout_ms: doc.get("timeout_ms").and_then(JsonValue::as_u64),
                     use_cache: doc
                         .get("cache")
@@ -772,38 +813,27 @@ impl Request {
                 let qubits = doc
                     .get("qubits")
                     .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| proto_err("session.open missing numeric `qubits`".to_string()))?
-                    as u32;
-                let strategy = match doc.get("strategy").and_then(JsonValue::as_str) {
-                    None => None,
-                    Some(name) => Some(Strategy::from_name(name).ok_or_else(|| {
-                        proto_err(format!(
-                            "unknown strategy `{name}` (valid: {})",
-                            Strategy::names().join(", ")
-                        ))
-                    })?),
-                };
+                    .ok_or_else(|| {
+                        proto_err("session.open missing numeric `qubits`".to_string())
+                    })?;
+                let qubits = check_register(qubits, "session.open `qubits`")?;
+                let strategy = strategy_from_wire(doc.get("strategy"))?;
+                let defects_err =
+                    || proto_err("`defects` must be an array of [row, col] pairs".to_string());
                 let defects = match doc.get("defects") {
                     None => Vec::new(),
                     Some(JsonValue::Array(items)) => items
                         .iter()
                         .map(|pair| match pair {
                             JsonValue::Array(rc) if rc.len() == 2 => {
-                                let r = rc[0].as_u64()?;
-                                let c = rc[1].as_u64()?;
-                                Some((r as u32, c as u32))
+                                let r = rc[0].as_u64().ok_or_else(defects_err)?;
+                                let c = rc[1].as_u64().ok_or_else(defects_err)?;
+                                Ok((wire_u32(r, "defects")?, wire_u32(c, "defects")?))
                             }
-                            _ => None,
+                            _ => Err(defects_err()),
                         })
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| {
-                            proto_err("`defects` must be an array of [row, col] pairs".to_string())
-                        })?,
-                    Some(_) => {
-                        return Err(proto_err(
-                            "`defects` must be an array of [row, col] pairs".to_string(),
-                        ))
-                    }
+                        .collect::<Result<Vec<_>, _>>()?,
+                    Some(_) => return Err(defects_err()),
                 };
                 Ok(Request::SessionOpen(Box::new(SessionOpen {
                     qubits,
@@ -940,6 +970,11 @@ mod tests {
         assert!(!req.telemetry && !req.trace);
     }
 
+    /// A request frame with `fields` (raw JSON members) after `proto`.
+    fn wire(fields: &str) -> JsonValue {
+        JsonValue::parse(&format!(r#"{{"proto":"{PROTOCOL}",{fields}}}"#)).unwrap()
+    }
+
     #[test]
     fn malformed_requests_name_the_problem() {
         let cases: Vec<(JsonValue, &str)> = vec![
@@ -965,6 +1000,10 @@ mod tests {
                     ("kind", JsonValue::from("compile")),
                 ]),
                 "missing `source`",
+            ),
+            (
+                wire(r#""kind":"compile","source":"qreg q[1];","distance":4294967296"#),
+                "`distance` is 4294967296",
             ),
         ];
         for (doc, expected) in cases {
@@ -1089,6 +1128,30 @@ mod tests {
                     )],
                 ),
                 "gate missing `qubits`",
+            ),
+            (
+                wire(r#""kind":"session.open","qubits":4294967296"#),
+                "has 4294967296 qubits",
+            ),
+            (
+                wire(r#""kind":"session.open","qubits":65537"#),
+                "at most 65536",
+            ),
+            (
+                wire(r#""kind":"session.gate","gates":[{"op":"cx","qubits":[4294967296,1]}]"#),
+                "`qubits` is 4294967296",
+            ),
+            (
+                wire(r#""kind":"session.open","qubits":4,"defects":[[4294967296,0]]"#),
+                "`defects` is 4294967296",
+            ),
+            (
+                wire(r#""kind":"session.inject","fault":"tile-failure","row":4294967296,"col":0"#),
+                "`row` is 4294967296",
+            ),
+            (
+                wire(r#""kind":"session.inject","fault":"tile-failure","row":0,"col":4294967296"#),
+                "`col` is 4294967296",
             ),
             (frame("session.inject", vec![]), "missing `fault`"),
             (

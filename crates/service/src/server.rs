@@ -10,8 +10,8 @@
 
 use crate::cache::{CacheKey, CacheStats, ReportCache};
 use crate::protocol::{
-    read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError, Request,
-    ServiceError, SessionOpen, SourceFormat, PROTOCOL,
+    check_register, read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError,
+    Request, ServiceError, SessionOpen, SourceFormat, PROTOCOL,
 };
 use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, PipelineError, Strategy};
 use autobraid::report::canonical_compile_report_json;
@@ -1007,6 +1007,7 @@ fn parse_source(req: &CompileRequest) -> Result<autobraid_circuit::Circuit, Serv
             case.circuit
         }
     };
+    check_register(u64::from(circuit.num_qubits()), "compiled circuit")?;
     if let Some(label) = &req.label {
         circuit.set_name(label.clone());
     }

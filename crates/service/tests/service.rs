@@ -9,7 +9,7 @@ use autobraid_conformance::ConformanceCase;
 use autobraid_service::protocol::{
     read_frame, write_frame, CacheStatus, ErrorKind, DEFAULT_MAX_FRAME, PROTOCOL,
 };
-use autobraid_service::{Client, ClientError, CompileRequest, Server, ServiceConfig};
+use autobraid_service::{Client, ClientError, CompileRequest, Server, ServiceConfig, SessionOpen};
 use autobraid_telemetry::JsonValue;
 use std::time::{Duration, Instant};
 
@@ -289,6 +289,24 @@ fn deeply_nested_frame_is_a_protocol_error_and_the_server_lives() {
         .expect("connect")
         .ping()
         .expect("server still answers ping");
+}
+
+#[test]
+fn oversized_registers_are_protocol_errors_and_the_server_lives() {
+    let server = server(|_| {});
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // Unchecked, either register size makes one allocation of tens of
+    // gigabytes (placement, dependence DAG), and a failed allocation
+    // aborts the daemon instead of failing the request.
+    let (kind, detail) =
+        expect_service_error(client.session_open(&SessionOpen::new(4_000_000_000)));
+    assert_eq!(kind, ErrorKind::Protocol);
+    assert!(detail.contains("at most 65536"), "{detail}");
+    let huge = CompileRequest::qasm("qreg q[4000000000]; cx q[0],q[1];");
+    let (kind, detail) = expect_service_error(client.compile(&huge));
+    assert_eq!(kind, ErrorKind::Protocol);
+    assert!(detail.contains("4000000000 qubits"), "{detail}");
+    client.ping().expect("server still answers ping");
 }
 
 #[test]

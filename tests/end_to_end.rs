@@ -3,11 +3,18 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::maslov::schedule_maslov;
+use autobraid::maslov::schedule_maslov_with_dag;
 use autobraid::metrics::verify_schedule;
-use autobraid::{schedule_baseline, AutoBraid};
+use autobraid::{schedule_baseline, AutoBraid, ScheduleResult, Strategy};
 use autobraid_circuit::{generators, Circuit};
 use autobraid_lattice::Grid;
+
+/// Schedules `circuit` with `strategy` against the compiler's own DAG.
+fn schedule(compiler: &AutoBraid, strategy: Strategy, circuit: &Circuit) -> ScheduleResult {
+    compiler
+        .schedule(strategy, circuit, &compiler.config().dag(circuit))
+        .result
+}
 
 fn workloads() -> Vec<Circuit> {
     vec![
@@ -40,12 +47,13 @@ fn every_scheduler_produces_a_verified_schedule_on_every_family() {
             .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
         assert!(baseline.total_cycles >= cp, "{name}: baseline below CP");
 
-        let sp = compiler.schedule_sp(&circuit);
+        let dag = config.dag(&circuit);
+        let sp = compiler.schedule(Strategy::Stack, &circuit, &dag);
         verify_schedule(&circuit, &sp.grid, &sp.initial_placement, &sp.result)
             .unwrap_or_else(|e| panic!("{name}/sp: {e}"));
         assert!(sp.result.total_cycles >= cp, "{name}: sp below CP");
 
-        let full = compiler.schedule_full(&circuit);
+        let full = compiler.schedule(Strategy::Full, &circuit, &dag);
         verify_schedule(&circuit, &full.grid, &full.initial_placement, &full.result)
             .unwrap_or_else(|e| panic!("{name}/full: {e}"));
         assert!(full.result.total_cycles >= cp, "{name}: full below CP");
@@ -56,7 +64,7 @@ fn every_scheduler_produces_a_verified_schedule_on_every_family() {
             sp.result.total_cycles
         );
 
-        let (maslov, maslov_placement) = schedule_maslov(&circuit, &config);
+        let (maslov, maslov_placement) = schedule_maslov_with_dag(&circuit, &config, &dag);
         verify_schedule(&circuit, &grid, &maslov_placement, &maslov)
             .unwrap_or_else(|e| panic!("{name}/maslov: {e}"));
         assert!(maslov.total_cycles >= cp, "{name}: maslov below CP");
@@ -74,8 +82,8 @@ fn serial_communication_families_hit_critical_path() {
         generators::cc::counterfeit_coin(40).unwrap(),
     ] {
         let cp = critical_path_cycles(&circuit, &config.timing);
-        let full = compiler.schedule_full(&circuit);
-        assert_eq!(full.result.total_cycles, cp, "{}", circuit.name());
+        let full = schedule(&compiler, Strategy::Full, &circuit);
+        assert_eq!(full.total_cycles, cp, "{}", circuit.name());
     }
 }
 
@@ -86,8 +94,8 @@ fn linear_chain_families_hit_critical_path() {
     for n in [9u32, 16, 30, 50] {
         let circuit = generators::ising::ising(n, 2).unwrap();
         let cp = critical_path_cycles(&circuit, &config.timing);
-        let full = compiler.schedule_full(&circuit);
-        assert_eq!(full.result.total_cycles, cp, "ising-{n}");
+        let full = schedule(&compiler, Strategy::Full, &circuit);
+        assert_eq!(full.total_cycles, cp, "ising-{n}");
     }
 }
 
@@ -97,7 +105,7 @@ fn schedulers_are_deterministic_across_processes_worth_of_calls() {
     let compiler = AutoBraid::new(config.clone());
     let circuit = generators::qaoa::qaoa(16, 2, 3, 99).unwrap();
     let runs: Vec<u64> = (0..3)
-        .map(|_| compiler.schedule_full(&circuit).result.total_cycles)
+        .map(|_| schedule(&compiler, Strategy::Full, &circuit).total_cycles)
         .collect();
     assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
     let base: Vec<u64> = (0..3)
@@ -111,9 +119,9 @@ fn gate_conservation_in_recorded_schedules() {
     let config = ScheduleConfig::default();
     let compiler = AutoBraid::new(config.clone());
     let circuit = generators::qft::qft(12).unwrap();
-    let outcome = compiler.schedule_sp(&circuit);
+    let result = schedule(&compiler, Strategy::Stack, &circuit);
     let mut executed = 0usize;
-    for step in &outcome.result.steps {
+    for step in &result.steps {
         executed += match step {
             autobraid::Step::Local { gates } => gates.len(),
             autobraid::Step::Braid { braids, locals } => braids.len() + locals.len(),
@@ -132,7 +140,7 @@ fn bigger_code_distance_means_longer_wall_clock() {
         let config = ScheduleConfig::default()
             .with_timing(TimingModel::new(CodeParams::with_distance(d).unwrap()));
         let compiler = AutoBraid::new(config);
-        times.push(compiler.schedule_sp(&circuit).result.time_us());
+        times.push(schedule(&compiler, Strategy::Stack, &circuit).time_us());
     }
     assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
 }

@@ -5,8 +5,8 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
-use autobraid::AutoBraid;
 use autobraid::Step;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::{ising::ising, qft::qft};
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{Cell, CodeParams, Grid, Occupancy, TimingModel, Vertex};
@@ -25,7 +25,7 @@ fn config_d(d: u32) -> ScheduleConfig {
 fn full_qft_schedule_lowers_to_physical_instructions() {
     let circuit = qft(12).unwrap();
     let compiler = AutoBraid::new(config_d(5));
-    let outcome = compiler.schedule_full(&circuit);
+    let outcome = compiler.schedule(Strategy::Full, &circuit, &compiler.config().dag(&circuit));
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
     let program = emit_physical(&outcome.result, &layout).unwrap();
 
@@ -50,7 +50,7 @@ fn full_qft_schedule_lowers_to_physical_instructions() {
 fn every_scheduled_step_lowers_disjointly() {
     let circuit = ising(16, 2).unwrap();
     let compiler = AutoBraid::new(config_d(3));
-    let outcome = compiler.schedule_sp(&circuit);
+    let outcome = compiler.schedule(Strategy::Stack, &circuit, &compiler.config().dag(&circuit));
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
     for step in &outcome.result.steps {
         if let Step::Braid { braids, .. } = step {

@@ -5,12 +5,19 @@
 //! zero-dependency.
 
 use autobraid::config::ScheduleConfig;
-use autobraid::{AutoBraid, Step};
+use autobraid::{AutoBraid, ScheduleResult, Step, Strategy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_circuit::sim::{circuits_equivalent, StateVector};
 use autobraid_circuit::transform::optimize;
 use autobraid_circuit::{Circuit, Gate};
 use autobraid_telemetry::Rng64;
+
+/// Schedules `circuit` with `strategy` against the compiler's own DAG.
+fn schedule(compiler: &AutoBraid, strategy: Strategy, circuit: &Circuit) -> ScheduleResult {
+    compiler
+        .schedule(strategy, circuit, &compiler.config().dag(circuit))
+        .result
+}
 
 const EPS: f64 = 1e-9;
 
@@ -47,8 +54,7 @@ fn scheduled_order_preserves_semantics() {
         let frac = rng.gen_range(0.2..0.8);
         let seed = rng.next_u64();
         let circuit = random_circuit(6, gates, frac, seed).unwrap();
-        let outcome = compiler.schedule_sp(&circuit);
-        let order = execution_order(&outcome.result.steps);
+        let order = execution_order(&schedule(&compiler, Strategy::Stack, &circuit).steps);
         assert_eq!(order.len(), circuit.len());
         let scheduled = reordered(&circuit, &order);
         assert!(
@@ -70,8 +76,7 @@ fn commutation_aware_order_preserves_semantics() {
         let frac = rng.gen_range(0.2..0.8);
         let seed = rng.next_u64();
         let circuit = random_circuit(6, gates, frac, seed).unwrap();
-        let outcome = compiler.schedule_sp(&circuit);
-        let order = execution_order(&outcome.result.steps);
+        let order = execution_order(&schedule(&compiler, Strategy::Stack, &circuit).steps);
         assert_eq!(order.len(), circuit.len());
         let scheduled = reordered(&circuit, &order);
         assert!(
@@ -122,8 +127,8 @@ fn optimize_then_schedule_never_costs_cycles() {
     for seed in 0..5 {
         let circuit = random_circuit(10, 200, 0.5, seed).unwrap();
         let (optimized, stats) = optimize(&circuit, 1e-12);
-        let raw = compiler.schedule_sp(&circuit).result.total_cycles;
-        let opt = compiler.schedule_sp(&optimized).result.total_cycles;
+        let raw = schedule(&compiler, Strategy::Stack, &circuit).total_cycles;
+        let opt = schedule(&compiler, Strategy::Stack, &optimized).total_cycles;
         assert!(
             opt <= raw,
             "seed {seed}: optimization (−{} gates) must not slow the schedule ({opt} vs {raw})",
