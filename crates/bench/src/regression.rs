@@ -21,8 +21,9 @@
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
 use autobraid::streaming::{StreamingOptions, StreamingPipeline};
-use autobraid_circuit::generators::{ising::ising, qaoa::qaoa, qft::qft, random};
-use autobraid_circuit::Circuit;
+use autobraid_circuit::generators::ising::{ising, ising_paper};
+use autobraid_circuit::generators::{qaoa::qaoa, qft::qft, random, revlib};
+use autobraid_circuit::{transform, Circuit, CircuitStats};
 use autobraid_lattice::{Cell, Grid, Occupancy};
 use autobraid_placement::{anneal, partition_placement, AnnealConfig, Placement};
 use autobraid_router::astar::{find_path, SearchLimits};
@@ -471,6 +472,24 @@ pub fn suite() -> Vec<BenchCase> {
         name: "placement/partition",
         run: Box::new(move || {
             black_box(partition_placement(&circuit, &grid));
+        }),
+    });
+
+    // --- micro: the compile front end's two passes over the gate
+    // list: the peephole optimizer on IM-1000 (long per-qubit gaps
+    // between partners) and the circuit statistics on urf5_280 ---
+    let circuit = ising_paper(1000).expect("ising builds");
+    cases.push(BenchCase {
+        name: "circuit/optimize",
+        run: Box::new(move || {
+            black_box(transform::optimize(&circuit, 1e-12));
+        }),
+    });
+    let circuit = revlib::build("urf5_280").expect("urf5_280 builds");
+    cases.push(BenchCase {
+        name: "circuit/stats",
+        run: Box::new(move || {
+            black_box(CircuitStats::of(&circuit));
         }),
     });
 

@@ -77,7 +77,7 @@ pub fn basis_on(gate: &Gate, q: QubitId) -> Basis {
 /// assert!(!commutes(&Gate::cx(0, 1), &Gate::cx(1, 2)));
 /// ```
 pub fn commutes(g1: &Gate, g2: &Gate) -> bool {
-    for q in g1.qubits() {
+    for q in g1.operands() {
         if !g2.acts_on(q) {
             continue;
         }

@@ -123,7 +123,7 @@ impl DependenceDag {
         let start = self.pred_ids.len();
         match &mut self.rule {
             EdgeRule::LastWriter(last_on_qubit) => {
-                for q in gate.qubits() {
+                for q in gate.operands() {
                     // A two-qubit gate may repeat a predecessor if both
                     // operands last touched the same gate; dedupe.
                     if let Some(prev) = last_on_qubit[q as usize].replace(id) {
@@ -137,7 +137,7 @@ impl DependenceDag {
                 use crate::commutation::commutes;
                 // A gate joining the open set depends on all of the
                 // closed one; a non-commuting gate closes the open set.
-                for q in gate.qubits() {
+                for q in gate.operands() {
                     let q = q as usize;
                     if !open[q].iter().all(|(_, g)| commutes(g, gate)) {
                         closed[q] = std::mem::take(&mut open[q]);

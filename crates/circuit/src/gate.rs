@@ -174,6 +174,17 @@ impl Gate {
         }
     }
 
+    /// The operand qubits in [`Gate::qubits`] order, without allocating.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = QubitId> {
+        let (first, second) = match *self {
+            Gate::Single { qubit, .. } => (qubit, None),
+            Gate::Two {
+                control, target, ..
+            } => (control, Some(target)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
     /// Whether `q` is an operand of this gate.
     pub fn acts_on(&self, q: QubitId) -> bool {
         match *self {
@@ -254,11 +265,13 @@ mod tests {
         let g = Gate::cx(1, 4);
         assert!(g.is_two_qubit());
         assert_eq!(g.qubits(), vec![1, 4]);
+        assert!(g.operands().eq([1, 4]));
         assert_eq!(g.pair(), Some((1, 4)));
         assert_eq!(g.max_qubit(), 4);
 
         let s = Gate::single(SingleKind::T, 7);
         assert!(!s.is_two_qubit());
+        assert!(s.operands().eq([7]));
         assert_eq!(s.pair(), None);
         assert_eq!(s.max_qubit(), 7);
     }

@@ -6,7 +6,6 @@
 //! from communication-heavy ones (Ising, QFT).
 
 use crate::circuit::{Circuit, GateId};
-use crate::dag::DependenceDag;
 
 /// ASAP layering of a circuit with per-layer communication statistics.
 ///
@@ -30,24 +29,41 @@ pub struct ParallelismProfile {
 }
 
 impl ParallelismProfile {
-    /// Computes the ASAP layering and per-layer CX counts.
+    /// Computes the ASAP layering and per-layer CX counts without a
+    /// dependence DAG. One pass gives each gate the highest next-free
+    /// level among its qubits, which then move one past it; these are
+    /// the levels of
+    /// [`DependenceDag::asap_levels`](crate::dag::DependenceDag::asap_levels).
+    /// The same pass counts each level's gates, so every layer is
+    /// allocated once at its final size.
     pub fn analyze(circuit: &Circuit) -> Self {
-        let dag = DependenceDag::new(circuit);
-        let levels = dag.asap_levels();
-        let depth = levels.iter().max().map_or(0, |d| d + 1);
-        let mut layers: Vec<Vec<GateId>> = vec![Vec::new(); depth];
-        for (g, &lvl) in levels.iter().enumerate() {
-            layers[lvl].push(g);
-        }
-        let cx_per_layer = layers
+        let mut next_free = vec![0usize; circuit.num_qubits() as usize];
+        let mut width: Vec<usize> = Vec::new();
+        let mut cx_per_layer: Vec<usize> = Vec::new();
+        let levels: Vec<usize> = circuit
             .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .filter(|&&g| circuit.gate(g).is_two_qubit())
-                    .count()
+            .map(|(_, gate)| {
+                let level = gate
+                    .operands()
+                    .map(|q| next_free[q as usize])
+                    .max()
+                    .unwrap_or(0);
+                for q in gate.operands() {
+                    next_free[q as usize] = level + 1;
+                }
+                if level == width.len() {
+                    width.push(0);
+                    cx_per_layer.push(0);
+                }
+                width[level] += 1;
+                cx_per_layer[level] += usize::from(gate.is_two_qubit());
+                level
             })
             .collect();
+        let mut layers: Vec<Vec<GateId>> = width.into_iter().map(Vec::with_capacity).collect();
+        for (g, level) in levels.into_iter().enumerate() {
+            layers[level].push(g);
+        }
         ParallelismProfile {
             layers,
             cx_per_layer,

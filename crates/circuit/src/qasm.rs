@@ -234,24 +234,21 @@ fn parse_angle_call(rest: &str, line: usize) -> Result<(f64, &str), CircuitError
 }
 
 /// Evaluates the restricted angle grammar: `[-] [k*] pi [/ m]` or a float
-/// literal.
+/// literal. A result that is not finite (`nan`, `inf`, `1e999`) is
+/// rejected like any other angle that cannot be evaluated.
 fn eval_angle(expr: &str, line: usize) -> Result<f64, CircuitError> {
     let expr = expr.trim().replace(' ', "");
     let err = || CircuitError::Parse {
         line,
         message: format!("cannot evaluate angle '{expr}'"),
     };
-    if expr.is_empty() {
-        return Err(err());
-    }
     let (sign, body) = match expr.strip_prefix('-') {
         Some(b) => (-1.0, b),
         None => (1.0, expr.as_str()),
     };
-    if let Ok(v) = body.parse::<f64>() {
-        return Ok(sign * v);
-    }
-    if let Some(pi_pos) = body.find("pi") {
+    let angle = if let Ok(v) = body.parse::<f64>() {
+        sign * v
+    } else if let Some(pi_pos) = body.find("pi") {
         let (before, after) = (&body[..pi_pos], &body[pi_pos + 2..]);
         let k: f64 = match before.strip_suffix('*') {
             Some(num) => num.parse().map_err(|_| err())?,
@@ -266,9 +263,15 @@ fn eval_angle(expr: &str, line: usize) -> Result<f64, CircuitError> {
         if m == 0.0 {
             return Err(err());
         }
-        return Ok(sign * k * PI / m);
+        sign * k * PI / m
+    } else {
+        return Err(err());
+    };
+    if angle.is_finite() {
+        Ok(angle)
+    } else {
+        Err(err())
     }
-    Err(err())
 }
 
 /// Serializes a circuit as OpenQASM 2.0. SWAPs and CZ/CP emit their native
@@ -422,6 +425,35 @@ mod tests {
             let src = format!("qreg q[1];\n{bad}\n");
             assert!(parse(&src).is_err(), "{bad} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_non_finite_angles() {
+        for bad in [
+            "nan",
+            "-nan",
+            "NaN*pi",
+            "inf",
+            "-inf",
+            "infinity",
+            "1e999",
+            "1e308*pi",
+            "pi/1e-320",
+        ] {
+            let src = format!("qreg q[2];\nrz({bad}) q[0];\nrz(0.5) q[0];\ncx q[0],q[1];\n");
+            match parse(&src) {
+                Err(CircuitError::Parse { line, message }) => {
+                    assert_eq!(line, 2, "{bad}");
+                    assert!(
+                        message.contains("cannot evaluate angle"),
+                        "{bad}: {message}"
+                    );
+                }
+                other => panic!("rz({bad}) should not parse: {other:?}"),
+            }
+        }
+        let huge = parse("qreg q[1];\nrz(-1e308) q[0];\n").unwrap();
+        assert_eq!(huge.gates()[0], Gate::single(SingleKind::Rz(-1e308), 0));
     }
 
     #[test]

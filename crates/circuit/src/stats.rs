@@ -1,7 +1,6 @@
 //! Summary statistics used by reports and the evaluation harness.
 
 use crate::circuit::Circuit;
-use crate::dag::DependenceDag;
 use crate::layers::ParallelismProfile;
 use std::fmt;
 
@@ -37,16 +36,16 @@ pub struct CircuitStats {
 }
 
 impl CircuitStats {
-    /// Computes all statistics in one pass over the circuit.
+    /// Computes all statistics; depth and the concurrency figures come
+    /// from one [`ParallelismProfile`], with no DAG built.
     pub fn of(circuit: &Circuit) -> Self {
-        let dag = DependenceDag::new(circuit);
         let profile = ParallelismProfile::analyze(circuit);
         CircuitStats {
             name: circuit.name().to_string(),
             qubits: circuit.num_qubits(),
             gates: circuit.len(),
             two_qubit_gates: circuit.two_qubit_count(),
-            depth: dag.depth(),
+            depth: profile.layer_count(),
             max_concurrent_cx: profile.max_concurrent_cx(),
             mean_concurrent_cx: profile.mean_concurrent_cx(),
         }
@@ -104,5 +103,69 @@ mod tests {
         let s = CircuitStats::of(&Circuit::new(2));
         assert_eq!(s.depth, 0);
         assert_eq!(s.communication_fraction(), 0.0);
+    }
+
+    /// The one-pass statistics and profile against the levels of the
+    /// dependence DAG they no longer build.
+    #[test]
+    fn one_pass_statistics_match_the_dag_levels() {
+        use crate::dag::DependenceDag;
+        use crate::generators::{self, random, revlib};
+
+        let mut circuits = vec![Circuit::new(3)];
+        for (kind, n) in [
+            ("qft", 24),
+            ("qpe", 8),
+            ("adder", 6),
+            ("bv", 40),
+            ("cc", 40),
+            ("im", 10),
+            ("im", 64),
+            ("qaoa", 20),
+            ("bwt", 31),
+        ] {
+            circuits.push(generators::by_name(kind, n).unwrap());
+        }
+        circuits.extend(
+            revlib::NAMES
+                .iter()
+                .map(|name| revlib::build(name).unwrap()),
+        );
+        circuits.push(random::random_circuit(12, 300, 0.5, 3).unwrap());
+        circuits.push(random::layered_cx(16, 6, 0.4, 5).unwrap());
+
+        for c in &circuits {
+            let levels = DependenceDag::new(c).asap_levels();
+            let depth = levels.iter().max().map_or(0, |d| d + 1);
+            let mut layers: Vec<Vec<usize>> = vec![Vec::new(); depth];
+            let mut cx_per_layer = vec![0usize; depth];
+            for (g, &level) in levels.iter().enumerate() {
+                layers[level].push(g);
+                cx_per_layer[level] += usize::from(c.gate(g).is_two_qubit());
+            }
+            let profile = ParallelismProfile::analyze(c);
+            assert_eq!(profile.layers(), &layers[..], "{}", c.name());
+            assert_eq!(profile.cx_per_layer(), &cx_per_layer[..], "{}", c.name());
+
+            let stats = CircuitStats::of(c);
+            let mean = if depth == 0 {
+                0.0
+            } else {
+                cx_per_layer.iter().sum::<usize>() as f64 / depth as f64
+            };
+            assert_eq!(stats.depth, depth, "{}", c.name());
+            assert_eq!(
+                stats.max_concurrent_cx,
+                cx_per_layer.iter().copied().max().unwrap_or(0),
+                "{}",
+                c.name()
+            );
+            assert_eq!(
+                stats.mean_concurrent_cx.to_bits(),
+                mean.to_bits(),
+                "{}",
+                c.name()
+            );
+        }
     }
 }

@@ -144,7 +144,15 @@ impl TransformStats {
 /// trivial, removals may expose new inverse pairs).
 ///
 /// Adjacency is *per-qubit-pair*: gates cancel/merge when no intervening
-/// gate touches any of their qubits.
+/// gate touches any of their qubits. Each qubit keeps a doubly linked
+/// list of its live gates in program order, built once; a gate's partner
+/// is the nearest of its successors on those lists, and a dropped,
+/// cancelled or merged-away gate is unlinked. A pass is therefore linear
+/// in the gate count.
+///
+/// # Panics
+///
+/// Panics if the circuit holds 2³¹ gates or more.
 ///
 /// # Examples
 ///
@@ -159,85 +167,111 @@ impl TransformStats {
 /// ```
 pub fn optimize(circuit: &Circuit, epsilon: f64) -> (Circuit, TransformStats) {
     let mut gates: Vec<Option<Gate>> = circuit.gates().iter().copied().map(Some).collect();
+    let mut lists = QubitLists::new(circuit);
     let mut stats = TransformStats::default();
     let mut changed = true;
 
     while changed {
         changed = false;
         // Drop trivial rotations first (cheap, enables cancellations).
-        for slot in gates.iter_mut() {
+        for (i, slot) in gates.iter_mut().enumerate() {
             if slot
                 .as_ref()
                 .is_some_and(|g| is_trivial_rotation(g, epsilon))
             {
                 *slot = None;
+                lists.unlink(i);
                 stats.dropped_rotations += 1;
                 changed = true;
             }
         }
-        // Scan for cancelling / merging neighbours: for each live gate,
-        // find the next live gate sharing a qubit; if they are mutually
-        // adjacent (no interposer on ANY shared qubit), try rules.
+        // For each live gate, its partner is the next live gate sharing
+        // a qubit. The partner is then adjacent to it on every shared
+        // qubit, and both rules below fire only when the two gates act
+        // on the same qubits.
         for i in 0..gates.len() {
             let Some(g1) = gates[i] else { continue };
-            // Find the next live gate touching any qubit of g1.
-            let mut j = i + 1;
-            let partner = loop {
-                if j >= gates.len() {
-                    break None;
-                }
-                if let Some(g2) = gates[j] {
-                    if g1.qubits().iter().any(|&q| g2.acts_on(q)) {
-                        break Some(g2);
-                    }
-                }
-                j += 1;
-            };
-            let Some(g2) = partner else { continue };
-            // The rules below require the pair to be adjacent on all of
-            // BOTH gates' qubits; since g2 is the first gate touching any
-            // of g1's qubits, it remains to check g2's other qubits reach
-            // back to g1 unobstructed.
-            let unobstructed = g2.qubits().iter().all(|&q| {
-                if !g1.acts_on(q) {
-                    // A qubit of g2 outside g1: fine for merging rules
-                    // only if no gate between i and j touches it — but
-                    // our rules only fire when the qubit sets match, so
-                    // this case only matters for rejection below.
-                    return true;
-                }
-                ((i + 1)..j).all(|k| gates[k].is_none_or(|g| !g.acts_on(q)))
-            });
-            if !unobstructed {
-                continue;
-            }
-            let same_qubits = {
-                let mut q1 = g1.qubits();
-                let mut q2 = g2.qubits();
-                q1.sort_unstable();
-                q2.sort_unstable();
-                q1 == q2
-            };
-            if !same_qubits {
-                continue;
-            }
+            let Some(j) = lists.partner(i) else { continue };
+            let g2 = gates[j].expect("linked gates are live");
             if are_inverse(&g1, &g2) {
                 gates[i] = None;
                 gates[j] = None;
+                lists.unlink(i);
+                lists.unlink(j);
                 stats.cancelled_pairs += 1;
                 changed = true;
             } else if let Some(m) = merged(&g1, &g2) {
+                // The merged gate keeps g1's operands, so its links stay.
                 gates[i] = Some(m);
                 gates[j] = None;
+                lists.unlink(j);
                 stats.merged_rotations += 1;
                 changed = true;
             }
         }
     }
 
+    // Freed before the output is built, so the lists add nothing to the
+    // pass's peak memory.
+    drop(lists);
     let mut out = Circuit::named(circuit.num_qubits(), circuit.name());
     out.extend(gates.into_iter().flatten());
     (out, stats)
+}
+
+/// End-of-list marker in [`QubitLists`].
+const NIL: u32 = u32::MAX;
+
+/// Per-qubit doubly linked lists of live gates. Node `2 * g + s` is
+/// operand slot `s` of gate `g` (a single-qubit gate leaves slot 1
+/// unlinked); `next`/`prev` hold the neighbouring node on that
+/// operand's qubit, or [`NIL`]. Nodes are `u32` to halve the lists'
+/// footprint on the largest circuits.
+struct QubitLists {
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl QubitLists {
+    fn new(circuit: &Circuit) -> Self {
+        let nodes = 2 * circuit.len();
+        assert!(nodes < NIL as usize, "circuit too large to optimize");
+        let mut lists = QubitLists {
+            next: vec![NIL; nodes],
+            prev: vec![NIL; nodes],
+        };
+        let mut last = vec![NIL; circuit.num_qubits() as usize];
+        for (g, gate) in circuit.iter() {
+            for (s, q) in gate.operands().enumerate() {
+                let node = (2 * g + s) as u32;
+                let tail = std::mem::replace(&mut last[q as usize], node);
+                if tail != NIL {
+                    lists.next[tail as usize] = node;
+                    lists.prev[node as usize] = tail;
+                }
+            }
+        }
+        lists
+    }
+
+    /// The first live gate after `g` that shares one of its qubits.
+    fn partner(&self, g: usize) -> Option<usize> {
+        let node = self.next[2 * g].min(self.next[2 * g + 1]);
+        (node != NIL).then_some(node as usize / 2)
+    }
+
+    /// Removes gate `g` from its qubits' lists.
+    fn unlink(&mut self, g: usize) {
+        for node in [2 * g, 2 * g + 1] {
+            let (prev, next) = (self.prev[node], self.next[node]);
+            if prev != NIL {
+                self.next[prev as usize] = next;
+            }
+            if next != NIL {
+                self.prev[next as usize] = prev;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,5 +399,176 @@ mod tests {
         let (opt, _) = optimize(&c, 1e-12);
         assert!(circuits_equivalent(&c, &opt, EPS));
         assert!(opt.len() <= c.len());
+    }
+
+    /// The quadratic forward scan `optimize` replaced, kept as its
+    /// reference: for each live gate, walk forward to the first live
+    /// gate touching any of its qubits, check that no gate in between
+    /// touches a shared qubit and that both act on the same qubits, then
+    /// try the rules.
+    fn optimize_by_scan(circuit: &Circuit, epsilon: f64) -> (Circuit, TransformStats) {
+        let mut gates: Vec<Option<Gate>> = circuit.gates().iter().copied().map(Some).collect();
+        let mut stats = TransformStats::default();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for slot in gates.iter_mut() {
+                if slot
+                    .as_ref()
+                    .is_some_and(|g| is_trivial_rotation(g, epsilon))
+                {
+                    *slot = None;
+                    stats.dropped_rotations += 1;
+                    changed = true;
+                }
+            }
+            for i in 0..gates.len() {
+                let Some(g1) = gates[i] else { continue };
+                let Some(j) = ((i + 1)..gates.len()).find(|&j| {
+                    gates[j].is_some_and(|g2| g1.qubits().iter().any(|&q| g2.acts_on(q)))
+                }) else {
+                    continue;
+                };
+                let g2 = gates[j].unwrap();
+                let unobstructed = g2.qubits().iter().all(|&q| {
+                    !g1.acts_on(q) || ((i + 1)..j).all(|k| gates[k].is_none_or(|g| !g.acts_on(q)))
+                });
+                let same_qubits = {
+                    let mut q1 = g1.qubits();
+                    let mut q2 = g2.qubits();
+                    q1.sort_unstable();
+                    q2.sort_unstable();
+                    q1 == q2
+                };
+                if !unobstructed || !same_qubits {
+                    continue;
+                }
+                if are_inverse(&g1, &g2) {
+                    gates[i] = None;
+                    gates[j] = None;
+                    stats.cancelled_pairs += 1;
+                    changed = true;
+                } else if let Some(m) = merged(&g1, &g2) {
+                    gates[i] = Some(m);
+                    gates[j] = None;
+                    stats.merged_rotations += 1;
+                    changed = true;
+                }
+            }
+        }
+        let mut out = Circuit::named(circuit.num_qubits(), circuit.name());
+        out.extend(gates.into_iter().flatten());
+        (out, stats)
+    }
+
+    /// Asserts `optimize` and the reference scan agree gate for gate
+    /// (angles compared bit for bit through `Debug`) and in their stats.
+    fn assert_matches_scan(c: &Circuit) {
+        let (fast, fast_stats) = optimize(c, 1e-12);
+        let (slow, slow_stats) = optimize_by_scan(c, 1e-12);
+        assert_eq!(fast_stats, slow_stats, "{}", c.name());
+        assert_eq!(
+            format!("{:?}", fast.gates()),
+            format!("{:?}", slow.gates()),
+            "{}",
+            c.name()
+        );
+    }
+
+    /// The inverse of every gate `mixed_circuit` draws.
+    fn inverse(gate: &Gate) -> Gate {
+        match *gate {
+            Gate::Single { kind, qubit } => Gate::single(
+                match kind {
+                    SingleKind::S => SingleKind::Sdg,
+                    SingleKind::T => SingleKind::Tdg,
+                    SingleKind::Rx(t) => SingleKind::Rx(-t),
+                    SingleKind::Ry(t) => SingleKind::Ry(-t),
+                    SingleKind::Rz(t) => SingleKind::Rz(-t),
+                    other => other,
+                },
+                qubit,
+            ),
+            Gate::Two {
+                kind: TwoKind::CPhase(t),
+                control,
+                target,
+            } => Gate::two(TwoKind::CPhase(-t), control, target),
+            other => other,
+        }
+    }
+
+    /// A seeded circuit on `n` qubits mixing SWAP, CZ, CPhase, CX,
+    /// Rx/Ry/Rz, H, S, T and X; about half of its short blocks are
+    /// followed by their inverse in reverse order, so cancellations and
+    /// merges cascade across passes.
+    fn mixed_circuit(n: u32, len: usize, seed: u64) -> Circuit {
+        use autobraid_telemetry::Rng64;
+        let mut rng = Rng64::seed_from_u64(seed);
+        let angles = [0.25, -0.25, 0.5, -0.5, 0.1, 1e-13];
+        let mut c = Circuit::named(n, format!("mixed-{seed}"));
+        while c.len() < len {
+            let block: Vec<Gate> = (0..rng.gen_range(1..6usize))
+                .map(|_| {
+                    let a = rng.gen_range(0..n);
+                    let b = (a + rng.gen_range(1..n)) % n;
+                    let t = angles[rng.gen_range(0..angles.len())];
+                    match rng.gen_range(0..11u32) {
+                        0 => Gate::two(TwoKind::Swap, a, b),
+                        1 => Gate::two(TwoKind::Cz, a, b),
+                        2 => Gate::two(TwoKind::CPhase(t), a, b),
+                        3 => Gate::cx(a, b),
+                        4 => Gate::single(SingleKind::Rx(t), a),
+                        5 => Gate::single(SingleKind::Ry(t), a),
+                        6 => Gate::single(SingleKind::Rz(t), a),
+                        7 => Gate::single(SingleKind::H, a),
+                        8 => Gate::single(SingleKind::S, a),
+                        9 => Gate::single(SingleKind::T, a),
+                        _ => Gate::single(SingleKind::X, a),
+                    }
+                })
+                .collect();
+            let inverted = rng.gen_bool(0.5);
+            for gate in &block {
+                c.push(*gate);
+            }
+            if inverted {
+                for gate in block.iter().rev() {
+                    c.push(inverse(gate));
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn linked_lists_match_the_quadratic_scan_on_random_circuits() {
+        let mut total = TransformStats::default();
+        for seed in 0..200 {
+            let n = 2 + (seed % 5) as u32;
+            let c = mixed_circuit(n, 40 + 2 * seed as usize, seed);
+            assert_matches_scan(&c);
+            let stats = optimize(&c, 1e-12).1;
+            total.cancelled_pairs += stats.cancelled_pairs;
+            total.merged_rotations += stats.merged_rotations;
+            total.dropped_rotations += stats.dropped_rotations;
+        }
+        assert!(
+            total.cancelled_pairs > 0 && total.merged_rotations > 0 && total.dropped_rotations > 0,
+            "every rule must fire: {total:?}"
+        );
+    }
+
+    #[test]
+    fn linked_lists_match_the_quadratic_scan_on_generators() {
+        use crate::generators::{ising::ising, qaoa::qaoa, revlib};
+        for c in [
+            revlib::build("urf2_277").unwrap(),
+            ising(64, 2).unwrap(),
+            qaoa(40, 4, 3, 2021).unwrap(),
+            Circuit::new(3),
+        ] {
+            assert_matches_scan(&c);
+        }
     }
 }

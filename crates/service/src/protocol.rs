@@ -1023,6 +1023,22 @@ mod tests {
         let err = Request::from_json(&bad_strategy).unwrap_err();
         assert!(err.detail.contains("warp-drive"));
         assert!(err.detail.contains("autobraid-full"));
+
+        // A non-finite angle decodes, then fails to parse with a typed
+        // error instead of compiling an `Rz(NaN)`.
+        let nan_angle = wire(
+            r#""kind":"compile","source":"qreg q[2]; rz(nan) q[0]; rz(0.5) q[0]; cx q[0],q[1];""#,
+        );
+        let Request::Compile(req) = Request::from_json(&nan_angle).unwrap() else {
+            panic!("expected compile");
+        };
+        let err = crate::server::parse_source(&req).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Parse);
+        assert!(
+            err.detail.contains("cannot evaluate angle 'nan'"),
+            "{}",
+            err.detail
+        );
     }
 
     #[test]

@@ -986,7 +986,9 @@ fn handle_compile(
 }
 
 /// Parses the request's circuit text per its declared format.
-fn parse_source(req: &CompileRequest) -> Result<autobraid_circuit::Circuit, ServiceError> {
+pub(crate) fn parse_source(
+    req: &CompileRequest,
+) -> Result<autobraid_circuit::Circuit, ServiceError> {
     let mut circuit = match req.format {
         SourceFormat::Qasm => qasm::parse(&req.source)
             .map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))?,
