@@ -238,9 +238,11 @@ impl Circuit {
         self.push(Gate::two(TwoKind::CPhase(angle), control, target))
     }
 
-    /// Appends a SWAP.
+    /// Appends a SWAP as its three CX gates
+    /// (see [`crate::decompose::swap`]).
     pub fn swap(&mut self, a: QubitId, b: QubitId) -> &mut Self {
-        self.push(Gate::two(TwoKind::Swap, a, b))
+        self.extend(crate::decompose::swap(a, b));
+        self
     }
 
     /// Appends a Toffoli (CCX) decomposed into the standard 6-CX + 9
@@ -288,8 +290,8 @@ mod tests {
     fn builder_chains() {
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 1).cz(1, 2).cphase(0.25, 2, 3).t(3).swap(0, 3);
-        assert_eq!(c.len(), 6);
-        assert_eq!(c.two_qubit_count(), 4);
+        assert_eq!(c.len(), 8);
+        assert_eq!(c.two_qubit_count(), 6);
         assert_eq!(c.single_qubit_count(), 2);
     }
 
@@ -324,7 +326,7 @@ mod tests {
         assert!(c.gates().iter().all(|g| !matches!(
             g,
             Gate::Two {
-                kind: TwoKind::Swap | TwoKind::Cz | TwoKind::CPhase(_),
+                kind: TwoKind::Cz | TwoKind::CPhase(_),
                 ..
             }
         )));

@@ -53,7 +53,6 @@ pub fn basis_on(gate: &Gate, q: QubitId) -> Basis {
                     Basis::X
                 }
             }
-            TwoKind::Swap => Basis::Other,
         },
     }
 }

@@ -1,7 +1,19 @@
 //! Decompositions of composite gates into the braided gate set.
 
 use crate::circuit::Circuit;
-use crate::gate::QubitId;
+use crate::gate::{Gate, QubitId};
+
+/// A SWAP as the three chained CX braids that implement it (paper
+/// Fig. 11). The operands are ordered first, so `swap(a, b)` and
+/// `swap(b, a)` lower to the same gates and an adjacent pair cancels.
+///
+/// # Panics
+///
+/// Panics if `a == b`.
+pub fn swap(a: QubitId, b: QubitId) -> [Gate; 3] {
+    let (lo, hi) = (a.min(b), a.max(b));
+    [Gate::cx(lo, hi), Gate::cx(hi, lo), Gate::cx(lo, hi)]
+}
 
 /// Appends the standard Clifford+T Toffoli decomposition (6 CX, 7 T/T†,
 /// 2 H) to `circuit`.
@@ -88,17 +100,9 @@ pub fn mcx_into(
     }
 }
 
-/// Appends a SWAP expressed as its three-CX implementation (paper Fig. 11)
-/// instead of the native `Swap` gate. Used by tests that check the two are
-/// charged identically.
-pub fn swap_as_cx_into(circuit: &mut Circuit, a: QubitId, b: QubitId) {
-    circuit.cx(a, b).cx(b, a).cx(a, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::Gate;
 
     #[test]
     fn ccx_gate_budget() {
@@ -149,10 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn swap_as_three_cx() {
-        let mut c = Circuit::new(2);
-        swap_as_cx_into(&mut c, 0, 1);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.two_qubit_count(), 3);
+    fn swap_is_three_cx_in_operand_order() {
+        assert_eq!(swap(3, 1), [Gate::cx(1, 3), Gate::cx(3, 1), Gate::cx(1, 3)]);
+        assert_eq!(swap(1, 3), swap(3, 1));
     }
 }

@@ -72,10 +72,6 @@ pub enum TwoKind {
     /// Controlled phase by the given angle; counted as a single two-qubit
     /// gate (this matches the paper's QFT gate counts).
     CPhase(f64),
-    /// SWAP of two logical qubits. Implemented as three CX gates (paper
-    /// Fig. 11); kept as a distinct kind so schedulers can charge 3 braiding
-    /// steps and track the permutation.
-    Swap,
 }
 
 impl TwoKind {
@@ -85,16 +81,6 @@ impl TwoKind {
             TwoKind::Cx => "cx",
             TwoKind::Cz => "cz",
             TwoKind::CPhase(_) => "cp",
-            TwoKind::Swap => "swap",
-        }
-    }
-
-    /// Number of braiding steps one of these gates occupies. A SWAP is
-    /// three chained CX gates; everything else is one braid.
-    pub fn braid_steps(&self) -> u64 {
-        match self {
-            TwoKind::Swap => 3,
-            _ => 1,
         }
     }
 }
@@ -288,13 +274,6 @@ mod tests {
         assert!(g.acts_on(2));
         assert!(g.acts_on(5));
         assert!(!g.acts_on(3));
-    }
-
-    #[test]
-    fn swap_costs_three_braids() {
-        assert_eq!(TwoKind::Swap.braid_steps(), 3);
-        assert_eq!(TwoKind::Cx.braid_steps(), 1);
-        assert_eq!(TwoKind::CPhase(0.5).braid_steps(), 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A pragmatic OpenQASM 2.0 subset reader/writer.
 //!
 //! Covers the gate set the benchmarks use (`h x y z s sdg t tdg rx ry rz
-//! cx cz cp swap ccx measure barrier`) over a single quantum register. This
+//! cx cz cp swap ccx measure barrier`) over a single quantum register;
+//! `swap` and `ccx` lower to CX-based networks ([`crate::decompose`]). This
 //! is how externally produced circuits (e.g. Qiskit-exported QFT instances)
 //! enter the pipeline.
 
@@ -132,17 +133,16 @@ fn parse_statement(
         }
         "cx" | "CX" | "cz" | "swap" => {
             let (a, b) = parse_qubit_pair(rest, line)?;
-            let kind = match head {
-                "cz" => TwoKind::Cz,
-                "swap" => TwoKind::Swap,
-                _ => TwoKind::Cx,
-            };
             if a == b {
                 return Err(err(format!(
                     "two-qubit gate with identical operands q[{a}]"
                 )));
             }
-            gates.push(Gate::two(kind, a, b));
+            match head {
+                "swap" => gates.extend(crate::decompose::swap(a, b)),
+                "cz" => gates.push(Gate::two(TwoKind::Cz, a, b)),
+                _ => gates.push(Gate::cx(a, b)),
+            }
             Ok(())
         }
         "cp" | "cu1" => {
@@ -274,7 +274,7 @@ fn eval_angle(expr: &str, line: usize) -> Result<f64, CircuitError> {
     }
 }
 
-/// Serializes a circuit as OpenQASM 2.0. SWAPs and CZ/CP emit their native
+/// Serializes a circuit as OpenQASM 2.0. CZ and CP emit their native
 /// spellings; re-parsing the output reproduces the circuit.
 ///
 /// # Examples
@@ -341,8 +341,8 @@ mod tests {
                    t q[1]; tdg q[2];\nmeasure q[1] -> c[1];\n";
         let c = parse(src).unwrap();
         assert_eq!(c.num_qubits(), 3);
-        assert_eq!(c.len(), 7);
-        assert_eq!(c.two_qubit_count(), 3);
+        assert_eq!(c.len(), 9);
+        assert_eq!(c.two_qubit_count(), 5);
     }
 
     #[test]

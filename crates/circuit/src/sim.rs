@@ -264,13 +264,6 @@ impl StateVector {
                     }
                 }
             }
-            TwoKind::Swap => {
-                for idx in 0..self.amplitudes.len() {
-                    if idx & cmask != 0 && idx & tmask == 0 {
-                        self.amplitudes.swap(idx, (idx & !cmask) | tmask);
-                    }
-                }
-            }
         }
     }
 
@@ -386,13 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn swap_gate_matches_three_cx() {
-        let mut native = Circuit::new(3);
-        native.h(0).t(1).cx(0, 2).swap(0, 1);
-        let mut lowered = Circuit::new(3);
-        lowered.h(0).t(1).cx(0, 2);
-        decompose::swap_as_cx_into(&mut lowered, 0, 1);
-        assert!(circuits_equivalent(&native, &lowered, EPS));
+    fn swap_exchanges_qubits() {
+        let mut swapped = Circuit::new(3);
+        swapped.h(0).t(1).cx(0, 2).swap(0, 1);
+        let mut relabeled = Circuit::new(3);
+        relabeled.h(1).t(0).cx(1, 2);
+        assert!(circuits_equivalent(&swapped, &relabeled, EPS));
     }
 
     #[test]

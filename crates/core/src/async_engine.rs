@@ -12,8 +12,10 @@
 //! the building-block benchmarks.
 
 use crate::config::ScheduleConfig;
+use crate::critical_path::gate_cycles;
 use crate::metrics::ScheduleResult;
-use autobraid_circuit::{Circuit, DependenceDag, Gate, GateId, TwoKind};
+use crate::scheduler::chain_weights;
+use autobraid_circuit::{Circuit, DependenceDag, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
 use autobraid_router::stack_finder::route_concurrent;
@@ -28,8 +30,7 @@ pub struct Assignment {
     pub gate: GateId,
     /// First slot the gate occupies.
     pub start_slot: u64,
-    /// Number of slots occupied (1 for local gates, 2 per braid; a SWAP
-    /// takes 6).
+    /// Number of slots occupied (1 for local gates, 2 per braid).
     pub slots: u64,
     /// The braiding path (None for local gates), reserved for the whole
     /// duration.
@@ -67,28 +68,10 @@ pub fn schedule_async(
     let dag = config.dag(circuit);
     let d_cycles = u64::from(config.timing.params().distance());
 
-    // Slots a gate occupies.
-    let slots_of = |g: &Gate| -> u64 {
-        match g {
-            Gate::Single { .. } => 1,
-            Gate::Two {
-                kind: TwoKind::Swap,
-                ..
-            } => 6,
-            Gate::Two { .. } => 2,
-        }
-    };
-    // Remaining critical path in slots, for routing priority.
-    let mut remaining = vec![0u64; circuit.len()];
-    for g in (0..circuit.len()).rev() {
-        let tail = dag
-            .successors(g)
-            .iter()
-            .map(|&s| remaining[s])
-            .max()
-            .unwrap_or(0);
-        remaining[g] = tail + slots_of(circuit.gate(g));
-    }
+    // Slots a gate occupies, and its remaining critical path (in cycles)
+    // as routing priority.
+    let slots_of = |g: &Gate| gate_cycles(g, &config.timing) / d_cycles;
+    let remaining = chain_weights(circuit, &dag, |g| gate_cycles(g, &config.timing));
 
     // ready_at[g]: earliest slot all predecessors have finished.
     let mut unmet: Vec<usize> = (0..circuit.len())

@@ -1,22 +1,15 @@
 //! The ideal "CP" lower bound used throughout the paper's evaluation.
 
-use autobraid_circuit::{Circuit, DependenceDag, Gate, TwoKind};
+use autobraid_circuit::{Circuit, DependenceDag, Gate};
 use autobraid_lattice::TimingModel;
 
 /// Latency in surface-code cycles of one gate under `timing`: local gates
-/// take `d` cycles, braided CX-class gates `2d`, and a SWAP three chained
-/// CX braids (`6d`). The scheduling engine charges local and CX-class
-/// gates the same way, but routes an explicit SWAP gate of the circuit in
-/// one braid step (`2d`), so on circuits with SWAP gates CP can exceed a
-/// real schedule and is not a lower bound. These weights also set the
-/// engine's routing priority and the reported quality ratio, so they stay.
+/// take `d` cycles and braided gates `2d`. Every engine charges these
+/// weights per gate; they also set the engines' routing priority and
+/// the reported quality ratio.
 pub fn gate_cycles(gate: &Gate, timing: &TimingModel) -> u64 {
     match gate {
         Gate::Single { .. } => timing.local_step_cycles(),
-        Gate::Two {
-            kind: TwoKind::Swap,
-            ..
-        } => 3 * timing.braid_step_cycles(),
         Gate::Two { .. } => timing.braid_step_cycles(),
     }
 }

@@ -7,6 +7,7 @@
 //! This makes every reported speedup a pure algorithm comparison.
 
 use crate::config::{Recording, ScheduleConfig, MAX_CONSECUTIVE_SWAP_ROUNDS, MAX_SWAPS_PER_ROUND};
+use crate::critical_path::gate_cycles;
 use crate::metrics::{LayerPolicy, ScheduleResult, Step};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
@@ -479,7 +480,7 @@ impl Drive {
 /// drained. With
 /// `budget = Some(b)` the drive stops at the top of the first step
 /// where the running `total_cycles` plus the remaining critical path
-/// (each gate charged the cheapest step that can complete it) exceeds
+/// (the engine's routing priority) exceeds
 /// `b`, and reports [`Drive::Pruned`]; `None` always drains the
 /// circuit.
 #[allow(clippy::too_many_arguments)]
@@ -513,23 +514,19 @@ pub(crate) fn drive(
         config.clone(),
         allow_layout_optimizer,
     );
-    // What the undrained DAG still costs at the least, per gate: a
-    // dependence chain completes at most one gate per step, a step that
-    // completes a CX (SWAPs included) costs a braid step, and any other
-    // step at least a local one. Only budgeted drives consult it.
-    let floor = budget.map(|_| {
-        chain_weights(circuit, dag, |g| {
-            if g.is_two_qubit() {
-                config.timing.braid_step_cycles()
-            } else {
-                config.timing.local_step_cycles()
-            }
-        })
-    });
-
     while !engine.frontier.is_drained() {
-        if let (Some(budget), Some(floor)) = (budget, &floor) {
-            let owed = engine.frontier.ready().iter().map(|&g| floor[g]).max();
+        // What the undrained DAG still costs at the least is the heaviest
+        // ready chain of the engine's priority: a dependence chain
+        // completes at most one gate per step, and a step that completes
+        // a gate costs at least that gate's cycles.
+        if let Some(budget) = budget {
+            engine.refresh_priority();
+            let owed = engine
+                .frontier
+                .ready()
+                .iter()
+                .map(|&g| engine.priority[g])
+                .max();
             if engine.result.total_cycles + owed.unwrap_or(0) > budget {
                 return Ok(Drive::Pruned {
                     swap_layers: engine.result.swap_layers,
@@ -619,7 +616,7 @@ pub(crate) struct Engine<'a> {
     allow_layout_optimizer: bool,
     /// Remaining critical-path weight of each gate (itself included):
     /// routing priority, so congestion defers slack-rich gates instead
-    /// of dependence-critical ones.
+    /// of dependence-critical ones, and the budgeted drive's floor.
     priority: Vec<u64>,
     /// Whether gates were pushed since `priority` was computed. Weights
     /// change only on a push, so a push-then-drain stream recomputes
@@ -674,6 +671,15 @@ impl<'a> Engine<'a> {
         self.frontier.admit(&self.dag);
         self.priority_stale = true;
         id
+    }
+
+    /// Recomputes `priority` if gates were pushed since it was computed.
+    fn refresh_priority(&mut self) {
+        if self.priority_stale {
+            let timing = self.config.timing;
+            self.priority = chain_weights(&self.circuit, &self.dag, |g| gate_cycles(g, &timing));
+            self.priority_stale = false;
+        }
     }
 
     /// Marks channel vertex `v` defective for every later step.
@@ -732,12 +738,7 @@ impl<'a> Engine<'a> {
             return Ok(Stepped::Local { gates });
         }
 
-        if self.priority_stale {
-            self.priority = chain_weights(&self.circuit, &self.dag, |g| {
-                crate::critical_path::gate_cycles(g, &timing)
-            });
-            self.priority_stale = false;
-        }
+        self.refresh_priority();
         hooks.offer(&mut braids, &self.priority);
         let requests: Vec<CxRequest> = braids
             .iter()
@@ -888,7 +889,7 @@ impl<'a> Engine<'a> {
 
 /// Per gate, the heaviest dependence chain starting at it (itself
 /// included) with each gate weighted by `weight`.
-fn chain_weights(
+pub(crate) fn chain_weights(
     circuit: &Circuit,
     dag: &DependenceDag,
     weight: impl Fn(&Gate) -> u64,

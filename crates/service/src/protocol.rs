@@ -9,7 +9,7 @@
 
 use autobraid::pipeline::Strategy;
 use autobraid::streaming::FaultEvent;
-use autobraid_circuit::{Gate, SingleKind, TwoKind};
+use autobraid_circuit::{decompose, Gate, SingleKind, TwoKind};
 use autobraid_telemetry::JsonValue;
 use std::io::{self, Read, Write};
 
@@ -614,12 +614,14 @@ pub fn gate_to_json(gate: &Gate) -> JsonValue {
     JsonValue::Object(fields)
 }
 
-/// Parses a gate wire object.
+/// Parses a gate wire object and appends it to `gates`. A `swap` appends
+/// the three CX gates that implement it ([`decompose::swap`]).
 ///
 /// # Errors
 ///
-/// [`ErrorKind::Protocol`] errors naming the offending field.
-pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
+/// [`ErrorKind::Protocol`] errors naming the offending field, including
+/// a two-qubit gate on one qubit twice and a non-finite angle.
+pub fn gate_from_json(doc: &JsonValue, gates: &mut Vec<Gate>) -> Result<(), ServiceError> {
     let proto_err = |detail: String| ServiceError::new(ErrorKind::Protocol, detail);
     let op = doc
         .get("op")
@@ -637,7 +639,6 @@ pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
             .collect::<Result<Vec<u32>, _>>()?,
         _ => return Err(proto_err("gate missing `qubits` array".to_string())),
     };
-    let angle = doc.get("angle").and_then(JsonValue::as_f64);
     let arity_err = |want: usize| {
         proto_err(format!(
             "gate `{op}` takes {want} qubit(s), got {}",
@@ -648,16 +649,22 @@ pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
         [q] => Ok(Gate::Single { kind, qubit: *q }),
         _ => Err(arity_err(1)),
     };
-    let two = |kind: TwoKind| match qubits.as_slice() {
-        [c, t] => Ok(Gate::Two {
-            kind,
-            control: *c,
-            target: *t,
-        }),
+    let pair = || match qubits.as_slice() {
+        [a, b] if a == b => Err(proto_err(format!(
+            "gate `{op}` has identical operands q[{a}]"
+        ))),
+        [a, b] => Ok((*a, *b)),
         _ => Err(arity_err(2)),
     };
-    let need_angle = || angle.ok_or_else(|| proto_err(format!("gate `{op}` requires an `angle`")));
-    match op {
+    let two = |kind: TwoKind| pair().map(|(c, t)| Gate::two(kind, c, t));
+    let need_angle = || match doc.get("angle").and_then(JsonValue::as_f64) {
+        Some(angle) if angle.is_finite() => Ok(angle),
+        Some(angle) => Err(proto_err(format!(
+            "gate `{op}` has non-finite `angle` {angle}"
+        ))),
+        None => Err(proto_err(format!("gate `{op}` requires an `angle`"))),
+    };
+    let gate = match op {
         "x" => single(SingleKind::X),
         "y" => single(SingleKind::Y),
         "z" => single(SingleKind::Z),
@@ -673,9 +680,15 @@ pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
         "cx" => two(TwoKind::Cx),
         "cz" => two(TwoKind::Cz),
         "cp" => two(TwoKind::CPhase(need_angle()?)),
-        "swap" => two(TwoKind::Swap),
+        "swap" => {
+            let (a, b) = pair()?;
+            gates.extend(decompose::swap(a, b));
+            return Ok(());
+        }
         other => Err(proto_err(format!("unknown gate op `{other}`"))),
-    }
+    }?;
+    gates.push(gate);
+    Ok(())
 }
 
 /// Renders a fault event as its wire object: `{"fault": "tile-failure",
@@ -852,10 +865,10 @@ impl Request {
             }
             Some("session.gate") => match doc.get("gates") {
                 Some(JsonValue::Array(items)) => {
-                    let gates = items
-                        .iter()
-                        .map(gate_from_json)
-                        .collect::<Result<Vec<_>, _>>()?;
+                    let mut gates = Vec::with_capacity(items.len());
+                    for item in items {
+                        gate_from_json(item, &mut gates)?;
+                    }
                     if gates.is_empty() {
                         return Err(proto_err("session.gate carried no gates".to_string()));
                     }
@@ -1085,15 +1098,20 @@ mod tests {
                 control: 0,
                 target: 4,
             },
-            Gate::Two {
-                kind: TwoKind::Swap,
-                control: 2,
-                target: 5,
-            },
         ];
         for gate in gates {
-            assert_eq!(gate_from_json(&gate_to_json(&gate)).unwrap(), gate);
+            let mut decoded = Vec::new();
+            gate_from_json(&gate_to_json(&gate), &mut decoded).unwrap();
+            assert_eq!(decoded, [gate]);
         }
+        // A `swap` decodes to the three CX gates that implement it.
+        let mut decoded = Vec::new();
+        gate_from_json(
+            &JsonValue::parse(r#"{"op":"swap","qubits":[5,2]}"#).unwrap(),
+            &mut decoded,
+        )
+        .unwrap();
+        assert_eq!(decoded, [Gate::cx(2, 5), Gate::cx(5, 2), Gate::cx(2, 5)]);
         for fault in [
             FaultEvent::TileFailure { row: 2, col: 3 },
             FaultEvent::MagicStall { steps: 4 },
@@ -1156,6 +1174,24 @@ mod tests {
             (
                 wire(r#""kind":"session.gate","gates":[{"op":"cx","qubits":[4294967296,1]}]"#),
                 "`qubits` is 4294967296",
+            ),
+            (
+                wire(r#""kind":"session.gate","gates":[{"op":"cx","qubits":[1,1]}]"#),
+                "gate `cx` has identical operands q[1]",
+            ),
+            (
+                wire(r#""kind":"session.gate","gates":[{"op":"swap","qubits":[2,2]}]"#),
+                "gate `swap` has identical operands q[2]",
+            ),
+            (
+                wire(r#""kind":"session.gate","gates":[{"op":"rz","qubits":[0],"angle":1e999}]"#),
+                "gate `rz` has non-finite `angle` inf",
+            ),
+            (
+                wire(
+                    r#""kind":"session.gate","gates":[{"op":"cp","qubits":[0,1],"angle":-1e999}]"#,
+                ),
+                "gate `cp` has non-finite `angle` -inf",
             ),
             (
                 wire(r#""kind":"session.open","qubits":4,"defects":[[4294967296,0]]"#),

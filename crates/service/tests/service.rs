@@ -310,6 +310,58 @@ fn oversized_registers_are_protocol_errors_and_the_server_lives() {
 }
 
 #[test]
+fn invalid_session_gates_are_protocol_errors_and_the_server_lives() {
+    let server = server(|_| {});
+    // Raw frames: a client would render the infinite angle as `null`.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut exchange = |fields: &str| {
+        write_frame(
+            &mut stream,
+            &format!(r#"{{"proto":"{PROTOCOL}",{fields}}}"#),
+        )
+        .expect("request frame");
+        let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+            .expect("readable reply")
+            .expect("reply frame");
+        JsonValue::parse(&reply).expect("valid JSON")
+    };
+    let opened = exchange(r#""kind":"session.open","qubits":4"#);
+    assert_eq!(opened.get("status").and_then(JsonValue::as_str), Some("ok"));
+    // Unchecked, equal operands panic the connection thread in the
+    // dependence DAG, and an infinite angle lands in the schedule.
+    for (gate, expected) in [
+        (r#"{"op":"cx","qubits":[1,1]}"#, "identical operands q[1]"),
+        (r#"{"op":"swap","qubits":[3,3]}"#, "identical operands q[3]"),
+        (
+            r#"{"op":"rz","qubits":[0],"angle":1e999}"#,
+            "non-finite `angle` inf",
+        ),
+    ] {
+        let reply = exchange(&format!(r#""kind":"session.gate","gates":[{gate}]"#));
+        let error = reply.get("error").expect("typed error");
+        assert_eq!(
+            error.get("kind").and_then(JsonValue::as_str),
+            Some(ErrorKind::Protocol.name()),
+            "{gate}"
+        );
+        let detail = error
+            .get("detail")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("");
+        assert!(detail.contains(expected), "{gate}: {detail}");
+    }
+    let pong = exchange(r#""kind":"ping""#);
+    assert_eq!(pong.get("kind").and_then(JsonValue::as_str), Some("pong"));
+    let closed = exchange(r#""kind":"session.close""#);
+    assert_eq!(closed.get("status").and_then(JsonValue::as_str), Some("ok"));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .session_open(&SessionOpen::new(4))
+        .expect("a new session opens");
+    client.session_close().expect("and closes");
+}
+
+#[test]
 fn stats_report_counters_cache_and_latency() {
     let server = server(|_| {});
     let mut client = Client::connect(server.addr()).expect("connect");
